@@ -10,8 +10,6 @@ original frame.  Subpackages:
 - ``trainer``    offline cross-validated training (L-BFGS)
 - ``cs``         Gaussian measurement and LASSO recovery
 - ``baselines``  DCT / DFT / PCA reference sparsifiers
-- ``pipeline``   end-to-end encode/decode, model files, benchmarks
-- ``cli``        command-line front end
 """
 
 __version__ = "0.1.0"

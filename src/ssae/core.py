@@ -15,6 +15,10 @@ where the penalty acts on the pre-shrink activations and nominates units
 for pruning.  Backpropagation treats the pruning mask and the rounding as
 fixed pieces of the forward pass: reconstruction error flows only into
 the surviving units, rounding passes gradients through unchanged.
+
+gradient() returns (cost, flat gradient) from a single forward pass, the
+gradient in SsaeParams.to_vector order, which is the objective contract
+of trainer.minimize; cost() is the value alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "SsaeParams",
-    "SsaeGradient",
     "hidden_activation",
     "shrink",
     "shrink_mask",
@@ -77,9 +80,7 @@ class SsaeParams:
 
     def to_vector(self) -> np.ndarray:
         """Flatten all parameters into one vector (w1, b1, w2, b2 order)."""
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        )
+        return _flatten(self.w1, self.b1, self.w2, self.b2)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_visible: int, n_hidden: int) -> "SsaeParams":
@@ -99,19 +100,8 @@ class SsaeParams:
         return cls(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy())
 
 
-@dataclass
-class SsaeGradient:
-    """Partial derivatives of the cost, shaped exactly like SsaeParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        )
+def _flatten(w1, b1, w2, b2) -> np.ndarray:
+    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
 
 
 def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
@@ -186,14 +176,22 @@ def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:
     return D
 
 
-def _forward(params, D, k, rounding_places):
-    H = np.tanh(D @ params.w1.T + params.b1)
+def _forward(params, D, gamma, k, rounding_places):
+    """The pass shared by cost() and gradient(): layers and objective value."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    D = _check_batch(params, D)
+    T = D.shape[0]
+    H = hidden_activation(params, D)
     mask = shrink_mask(H, k)
     S = np.where(mask, H, 0.0)
     if rounding_places is not None:
         S = round_code(S, rounding_places)
-    D_hat = np.tanh(S @ params.w2.T + params.b2)
-    return H, mask, S, D_hat
+    D_hat = reconstruct(params, S)
+    err = D_hat - D
+    recon = 0.5 * float(np.sum(err ** 2)) / T
+    penalty = gamma * float(np.sum(np.log10(1.0 + H * H))) / T
+    return recon + penalty, (D, H, mask, S, D_hat, err)
 
 
 def cost(
@@ -208,14 +206,7 @@ def cost(
     rounding_places=None skips code rounding; pass None when checking
     gradients against finite differences, since rounding is a staircase.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    D = _check_batch(params, D)
-    T = D.shape[0]
-    H, _, _, D_hat = _forward(params, D, k, rounding_places)
-    recon = 0.5 * float(np.sum((D_hat - D) ** 2)) / T
-    penalty = gamma * float(np.sum(np.log10(1.0 + H * H))) / T
-    return recon + penalty
+    return _forward(params, D, gamma, k, rounding_places)[0]
 
 
 def gradient(
@@ -224,22 +215,20 @@ def gradient(
     gamma: float,
     k: int,
     rounding_places: int | None = 3,
-) -> SsaeGradient:
-    """Backpropagated gradient of cost(), averaged over the batch.
+) -> tuple[float, np.ndarray]:
+    """(cost, gradient) of the objective from one forward pass.
 
-    The pruning mask is frozen from the forward pass, so reconstruction
-    error reaches only the k surviving units of each frame; rounding is
-    treated as the identity.  The penalty term
+    The cost equals cost() exactly.  The gradient is backpropagated and
+    averaged over the batch, flat in SsaeParams.to_vector order.  The
+    pruning mask is frozen from the forward pass, so reconstruction error
+    reaches only the k surviving units of each frame; rounding is treated
+    as the identity.  The penalty term
     d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
     through the first-layer tanh derivative.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    D = _check_batch(params, D)
+    c, (D, H, mask, S, D_hat, err) = _forward(params, D, gamma, k, rounding_places)
     T = D.shape[0]
-    H, mask, S, D_hat = _forward(params, D, k, rounding_places)
 
-    err = D_hat - D
     delta2 = err * (1.0 - D_hat * D_hat)           # (T, N)
     g_w2 = delta2.T @ S / T                        # (N, L)
     g_b2 = delta2.sum(axis=0) / T                  # (N,)
@@ -251,4 +240,4 @@ def gradient(
     g_w1 = delta1.T @ D / T                        # (L, N)
     g_b1 = delta1.sum(axis=0) / T                  # (L,)
 
-    return SsaeGradient(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    return c, _flatten(g_w1, g_b1, g_w2, g_b2)

@@ -22,7 +22,6 @@ __all__ = [
     "min_measurements",
     "gaussian_sensing_matrix",
     "measure",
-    "lasso_recover",
     "lasso_recover_batch",
 ]
 
@@ -121,7 +120,8 @@ def lasso_recover_batch(
     also accepted.  The solver warm-starts along a geometric penalty path,
     then iterates at the target penalty until the largest coordinate
     update falls below tol; hitting max_iter raises a RuntimeWarning and
-    returns the current iterates.
+    returns the current iterates.  A single frame y is the B=1 case,
+    lasso_recover_batch(phi, y[None])[0].
     """
     phi = np.asarray(phi, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -158,27 +158,10 @@ def lasso_recover_batch(
     converged = _cd_sweeps(phi, Y, S, R, lam, col_norms2, tol, max_iter)
     if not converged:
         warnings.warn(
-            f"lasso_recover: coordinate descent did not reach tol={tol} "
+            f"lasso_recover_batch: coordinate descent did not reach tol={tol} "
             f"within {max_iter} sweeps",
             RuntimeWarning,
             stacklevel=2,
         )
     return S
 
-
-def lasso_recover(
-    phi: np.ndarray,
-    y: np.ndarray,
-    lam: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-) -> np.ndarray:
-    """Recover a single sparse code from measurements y ~= phi @ s.
-
-    See lasso_recover_batch; this is the one-frame form.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError(f"expected a 1-D measurement vector, got {y.shape}")
-    return lasso_recover_batch(phi, y[None, :], lam=lam, tol=tol,
-                               max_iter=max_iter)[0]

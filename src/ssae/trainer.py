@@ -9,7 +9,7 @@ rows through the complete encode/decode round trip in raw sensor units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,27 +311,41 @@ class TrainingConfig:
 
 @dataclass
 class TrainingReport:
-    """Cross-validation outcome plus the parameters of the final fold."""
+    """Cross-validation outcome plus the parameters of the final fold.
+
+    fold_results holds every fold's L-BFGS outcome in fold order.
+    """
 
     fold_rmse: list[float]
     mean_rmse: float
-    curve: list[tuple[int, float]]
+    fold_results: list[MinimizeResult]
     params: core.SsaeParams
     sigma: float
     gamma: float
-    messages: list[str] = field(default_factory=list)
+
+    @property
+    def curve(self) -> list[tuple[int, float]]:
+        """Cost trace of the final fold."""
+        return self.fold_results[-1].curve
+
+    @property
+    def messages(self) -> list[str]:
+        """Stop reasons of the folds that did not converge."""
+        return [f"fold {i}: {res.message}"
+                for i, res in enumerate(self.fold_results, start=1)
+                if not res.converged]
 
 
-def _fit_sphered(D, config: TrainingConfig, gamma: float, theta0: core.SsaeParams):
-    """Minimize the autoencoder cost on already-sphered frames."""
+def _fit_rows(X, sigma: float, gamma: float, config: TrainingConfig):
+    """Sphere the rows, initialise from the config seed, minimize the cost."""
+    D, _ = data.sphere_rows(X, sigma)
     n_visible = D.shape[1]
     n_hidden = config.n_hidden
+    theta0 = init_params(n_visible, n_hidden, config.seed)
 
     def objective(vec):
         p = core.SsaeParams.from_vector(vec, n_visible, n_hidden)
-        c = core.cost(p, D, gamma, config.k_max, config.rounding_places)
-        g = core.gradient(p, D, gamma, config.k_max, config.rounding_places)
-        return c, g.to_vector()
+        return core.gradient(p, D, gamma, config.k_max, config.rounding_places)
 
     res = minimize(
         objective,
@@ -350,10 +364,7 @@ def fit(X: np.ndarray, config: TrainingConfig):
     """
     X = np.asarray(X, dtype=np.float64)
     sigma = data.dataset_std(X)
-    gamma = config.resolve_gamma()
-    D, _ = data.sphere_rows(X, sigma)
-    theta0 = init_params(X.shape[1], config.n_hidden, config.seed)
-    params, res = _fit_sphered(D, config, gamma, theta0)
+    params, res = _fit_rows(X, sigma, config.resolve_gamma(), config)
     return params, sigma, res.curve
 
 
@@ -363,12 +374,13 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     Pools sigma over the full matrix, shuffles the rows with the config
     seed, splits them into `folds` contiguous groups, trains on the
     complement of each group and scores it through the full round trip.
-    The returned parameters are the final fold's model.
+    Every fold starts from the same initial parameters.  The returned
+    parameters are the final fold's model.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    T, N = X.shape
+    T = X.shape[0]
     if T < config.folds:
         raise ValueError(f"need at least folds={config.folds} rows, got {T}")
 
@@ -377,22 +389,16 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     rng = np.random.default_rng(config.seed)
     shuffled = X[rng.permutation(T)]
     fold_slices = np.array_split(np.arange(T), config.folds)
-    theta0 = init_params(N, config.n_hidden, config.seed)
 
     fold_rmse = []
-    messages = []
-    params = theta0
-    curve: list[tuple[int, float]] = []
+    fold_results = []
     for i, test_idx in enumerate(fold_slices):
         train_rows = np.delete(shuffled, test_idx, axis=0)
-        D_train, _ = data.sphere_rows(train_rows, sigma)
         try:
-            params, res = _fit_sphered(D_train, config, gamma, theta0)
+            params, res = _fit_rows(train_rows, sigma, gamma, config)
         except FloatingPointError as exc:
             raise FloatingPointError(f"fold {i + 1}: {exc}") from exc
-        curve = res.curve
-        if not res.converged:
-            messages.append(f"fold {i + 1}: {res.message}")
+        fold_results.append(res)
         rmse = evaluate_rmse(
             params, sigma, shuffled[test_idx], config.k_max, config.rounding_places
         )
@@ -401,11 +407,10 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     return TrainingReport(
         fold_rmse=fold_rmse,
         mean_rmse=float(np.mean(fold_rmse)),
-        curve=curve,
+        fold_results=fold_results,
         params=params,
         sigma=sigma,
         gamma=gamma,
-        messages=messages,
     )
 
 

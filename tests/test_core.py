@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssae import core
+from ssae import core, trainer
 from ssae.core import (
     SsaeParams,
     cost,
@@ -304,8 +304,8 @@ class TestCost:
 class TestGradient:
     def test_zero_data_zero_params(self):
         p = zero_params(3, 4)
-        g = gradient(p, np.zeros((5, 3)), gamma=0.3, k=2)
-        assert np.all(g.to_vector() == 0.0)
+        _, g = gradient(p, np.zeros((5, 3)), gamma=0.3, k=2)
+        assert np.all(g == 0.0)
 
     def test_matches_finite_differences_full_mask(self):
         rng = np.random.default_rng(16)
@@ -313,7 +313,7 @@ class TestGradient:
             N, L, T = rng.integers(1, 8), rng.integers(1, 8), rng.integers(1, 6)
             p = random_params(rng, int(N), int(L), scale=0.3)
             D = rng.uniform(-0.9, 0.9, (int(T), int(N)))
-            g = gradient(p, D, gamma=0.1, k=int(L), rounding_places=None).to_vector()
+            _, g = gradient(p, D, gamma=0.1, k=int(L), rounding_places=None)
             fd = central_differences(frozen_cost_fn(p, D, 0.1, int(L)), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
@@ -325,7 +325,7 @@ class TestGradient:
             k = int(rng.integers(1, L))
             p = random_params(rng, N, L, scale=0.4)
             D = rng.uniform(-0.9, 0.9, (T, N))
-            g = gradient(p, D, gamma=0.2, k=k, rounding_places=None).to_vector()
+            _, g = gradient(p, D, gamma=0.2, k=k, rounding_places=None)
             fd = central_differences(frozen_cost_fn(p, D, 0.2, k), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
@@ -333,8 +333,32 @@ class TestGradient:
     def test_shapes_match_params(self):
         rng = np.random.default_rng(18)
         p = random_params(rng, 4, 7)
-        g = gradient(p, rng.uniform(-1, 1, (3, 4)), 0.1, 3)
-        assert g.w1.shape == p.w1.shape
-        assert g.b1.shape == p.b1.shape
-        assert g.w2.shape == p.w2.shape
-        assert g.b2.shape == p.b2.shape
+        _, g = gradient(p, rng.uniform(-1, 1, (3, 4)), 0.1, 3)
+        assert g.shape == p.to_vector().shape
+
+    @pytest.mark.parametrize("places", [3, None])
+    def test_cost_equals_cost_function(self, places):
+        rng = np.random.default_rng(19)
+        p = random_params(rng, 6, 9)
+        D = rng.uniform(-1, 1, (11, 6))
+        c, _ = gradient(p, D, gamma=0.2, k=4, rounding_places=places)
+        assert c == cost(p, D, gamma=0.2, k=4, rounding_places=places)
+
+    def test_one_forward_pass_per_training_evaluation(self, monkeypatch):
+        calls = 0
+        shrink_mask_orig = core.shrink_mask
+
+        def counting_shrink_mask(h, k):
+            nonlocal calls
+            calls += 1
+            return shrink_mask_orig(h, k)
+
+        def one_evaluation(objective, x0, **kwargs):
+            objective(x0)
+            return trainer.MinimizeResult(x=x0, curve=[], converged=True, message="")
+
+        monkeypatch.setattr(core, "shrink_mask", counting_shrink_mask)
+        monkeypatch.setattr(trainer, "minimize", one_evaluation)
+        X = np.random.default_rng(20).normal(size=(12, 4))
+        trainer.fit(X, trainer.TrainingConfig(n_hidden=5, k_max=2))
+        assert calls == 1

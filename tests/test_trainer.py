@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssae import core, data, trainer
+from ssae import core, data
 from ssae.data import NoiseSpec, generate_synthetic
 from ssae.trainer import (
     TrainingConfig,
@@ -234,7 +234,7 @@ class TestEvaluateRmse:
         with pytest.raises(ValueError):
             evaluate_rmse(p, 1.0, np.zeros((5, 2)), k=2)
 
-    def test_regression_pin(self, monkeypatch):
+    def test_regression_pin(self):
         # Each stage is pinned in pipeline order, so the first failing
         # assertion names the first stage that drifted.
         X = generate_synthetic(8, 120, correlation_length=2.0,
@@ -249,14 +249,8 @@ class TestEvaluateRmse:
         np.testing.assert_array_equal(perm[:8], PIN_PERMUTATION_HEAD,
                                       err_msg="shuffle stage: permutation drifted")
 
-        fits = []
-
-        def recording_minimize(*args, **kwargs):
-            fits.append(minimize(*args, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(trainer, "minimize", recording_minimize)
         report = train(X, cfg)
+        fits = report.fold_results
         np.testing.assert_allclose(
             fits[0].curve[0][1], PIN_COST_THETA0_FOLD1, rtol=1e-9,
             err_msg="cost stage: core.cost at theta0 on fold 1 drifted")
