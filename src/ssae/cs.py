@@ -3,10 +3,10 @@
 A sparse length-L code is compressed to M < L numbers by one flat random
 matrix; both ends regenerate the matrix from (M, L, seed), so it is never
 transmitted or stored.  Recovery solves the l1-penalized least squares
-problem by cyclic coordinate descent with soft thresholding, warm-started
-along a decreasing penalty path so small penalties converge quickly.
-Frames sharing one matrix are recovered together: the coordinate updates
-vectorize across frames without changing the per-frame iteration.
+problem exactly by the lasso homotopy (Osborne, Presnell & Turlach 2000;
+Efron et al. 2004) vectorized over frames: each frame walks its own
+active-set path and retires at its own penalty, so its code meets the KKT
+conditions to rounding and does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -74,54 +74,36 @@ def measure(phi: np.ndarray, s: np.ndarray, frame_mean: float) -> Measurement:
     return Measurement(y=phi @ s, frame_mean=float(frame_mean))
 
 
-def _cd_sweeps(phi, Y, S, R, lam, col_norms2, tol, max_iter):
-    """Cyclic coordinate descent on 0.5||y - phi s||^2 + lam ||s||_1.
-
-    S is (B, L) codes and R the matching (B, M) residuals, updated in
-    place; lam is (B,).  Each frame follows exactly the scalar iteration,
-    the loop over frames is just vectorized away.  Returns True when the
-    largest coordinate update across frames fell below tol.
-    """
-    L = phi.shape[1]
-    for sweep in range(max_iter):
-        if sweep and sweep % 128 == 0:
-            R[:] = Y - S @ phi.T  # shed incremental-update float drift
-        max_delta = 0.0
-        for j in range(L):
-            nj = col_norms2[j]
-            if nj == 0.0:
-                continue  # dead column: coordinate held at zero
-            col = phi[:, j]
-            old = S[:, j].copy()
-            R += old[:, None] * col
-            rho_j = R @ col
-            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - lam, 0.0) / nj
-            R -= new[:, None] * col
-            S[:, j] = new
-            delta = float(np.max(np.abs(new - old)))
-            if delta > max_delta:
-                max_delta = delta
-        if max_delta < tol:
-            return True
-    return False
+def _active_solve(G, active, rhs):
+    """Per frame, x with G_AA x_A = rhs_A on its active set A and 0 elsewhere,
+    solved as k x k with k the batch's largest |A|, padded with identity."""
+    k = int(active.sum(axis=1).max(initial=0))
+    idx = np.argsort(~active, axis=1, kind="stable")[:, :k]
+    on = np.take_along_axis(active, idx, axis=1)
+    sub = np.where(on[:, :, None] & on[:, None, :], G[idx[:, :, None], idx[:, None, :]], 0.0)
+    sub[:, range(k), range(k)] += ~on
+    b = np.where(on, np.take_along_axis(rhs, idx, axis=1), 0.0)
+    x = np.zeros(active.shape)
+    np.put_along_axis(x, idx, np.linalg.solve(sub, b[:, :, None])[:, :, 0], axis=1)
+    return x
 
 
 def lasso_recover_batch(
     phi: np.ndarray,
     Y: np.ndarray,
     lam: float | np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
+    max_iter: int | None = None,
 ) -> np.ndarray:
     """Recover one code per row of Y, all measured with the same matrix.
 
-    Minimizes 0.5 * ||y - phi s||^2 + lam * ||s||_1 per frame.  lam=None
-    picks 1e-4 * max|phi^T y| per frame; a scalar or per-frame array is
-    also accepted.  The solver warm-starts along a geometric penalty path,
-    then iterates at the target penalty until the largest coordinate
-    update falls below tol; hitting max_iter raises a RuntimeWarning and
-    returns the current iterates.  A single frame y is the B=1 case,
-    lasso_recover_batch(phi, y[None])[0].
+    Minimizes 0.5 * ||y - phi s||^2 + lam * ||s||_1 per frame; lam=None
+    picks 1e-4 * max|phi^T y| per frame, a scalar or per-frame array is also
+    accepted.  Homotopy: each frame lowers its own penalty from max|phi^T y|
+    (zero code) to lam, one active-set join or drop per step, retires there
+    and meets KKT to rounding, whatever else is in its batch.  Frames still
+    moving after max_iter steps (default 8 * L) are named in a RuntimeWarning
+    and get the exact code at the penalty reached.  Non-finite Y or lam
+    raise a ValueError naming the frame.  B=1: lasso_recover_batch(phi, y[None])[0].
     """
     phi = np.asarray(phi, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -129,39 +111,57 @@ def lasso_recover_batch(
         raise ValueError(
             f"matrix {phi.shape} and measurements {Y.shape} are not compatible"
         )
-    B, L = Y.shape[0], phi.shape[1]
-    corr_max = np.max(np.abs(Y @ phi), axis=1) if phi.size else np.zeros(B)
-    if lam is None:
-        lam = 1e-4 * corr_max
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (B,)).copy()
-    if np.any(lam < 0):
-        raise ValueError("lam must be >= 0")
-
+    bad = ~np.isfinite(Y).all(axis=1)
+    if bad.any():
+        raise ValueError(f"measurements of frame {int(np.argmax(bad))} are not finite")
+    B, (M, L) = Y.shape[0], phi.shape
+    G, C = phi.T @ phi, Y @ phi  # C holds phi^T y per frame
+    lam0 = np.max(np.abs(C), axis=1, initial=0.0)
+    lam = np.broadcast_to(np.asarray(1e-4 * lam0 if lam is None else lam,
+                                     dtype=np.float64), (B,)).copy()
+    bad = ~(np.isfinite(lam) & (lam >= 0))
+    if bad.any():
+        raise ValueError(f"lam of frame {int(np.argmax(bad))} must be finite and >= 0")
+    max_iter = 8 * L if max_iter is None else max_iter
     S = np.zeros((B, L))
-    R = Y.copy()
-    col_norms2 = np.einsum("ij,ij->j", phi, phi)
+    theta = np.zeros((B, L))  # sign of each active coordinate, 0 off the active set
+    left = np.zeros((B, L))  # sign of a coordinate that dropped on the last step
+    level = np.maximum(lam0, lam)  # the penalty each frame's path has reached
+    live = np.flatnonzero(lam < lam0)
+    j = np.argmax(np.abs(C[live]), axis=1)
+    theta[live, j] = np.sign(C[live, j])
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        th, s, lv = theta[live], S[live], level[live, None]
+        A, lo = th != 0, 1e-14 * lv  # shorter event steps do not count
+        d = _active_solve(G, A, th)  # how fast s grows as the penalty falls
+        a = d @ G  # how fast each correlation phi^T r falls
+        c = C[live] - s @ G
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_up, t_down, t_drop = (lv - c) / (1 - a), (lv + c) / (1 + a), -s / d
+        # c_j reaching +-level joins, except on the side it just dropped
+        # from or once M columns span the measurements; s_j reaching 0 drops.
+        t_join = np.fmin(np.where((t_up > lo) & (left[live] <= 0), t_up, np.inf),
+                         np.where((t_down > lo) & (left[live] >= 0), t_down, np.inf))
+        t_join[A | (A.sum(axis=1, keepdims=True) >= M)] = np.inf
+        t_drop[~(t_drop > lo) | ~A] = np.inf
+        jj, jd = np.argmin(t_join, axis=1), np.argmin(t_drop, axis=1)
+        tj, td, t_target = t_join.min(axis=1), t_drop.min(axis=1), lv[:, 0] - lam[live]
+        t = np.minimum(t_target, np.minimum(tj, td))
+        done = t_target <= t
+        drop, join = ~done & (td <= tj), ~done & (td > tj)
+        S[live] = s + t[:, None] * d
+        level[live] = np.where(done, lam[live], lv[:, 0] - t)
+        left[live] = 0.0
+        f, k = live[drop], jd[drop]
+        left[f, k], theta[f, k], S[f, k] = theta[f, k], 0.0, 0.0
+        f, k = live[join], jj[join]
+        theta[f, k] = np.sign(c[join, k] - t[join] * a[join, k])
+        live = live[~done]
 
-    # Continuation: frames with lam already at or above max|phi^T y| stay
-    # zero through every stage, so one shared geometric path (in units of
-    # each frame's own scale) serves the whole batch.
-    scale = np.where(corr_max > 0, corr_max, 1.0)
-    target_frac = np.where(corr_max > 0, lam / scale, np.inf)
-    lo_frac = max(float(np.min(np.where(np.isfinite(target_frac),
-                                        target_frac, 1.0))), 1e-12)
-    if lo_frac < 0.5:
-        n_stages = max(2, int(math.ceil(4.0 * math.log10(0.5 / lo_frac))))
-        for frac in np.geomspace(0.5, lo_frac, n_stages)[:-1]:
-            stage_lam = np.maximum(frac * scale, lam)
-            _cd_sweeps(phi, Y, S, R, stage_lam, col_norms2,
-                       max(tol, 1e-6 * frac * float(np.max(scale))), 60)
-
-    converged = _cd_sweeps(phi, Y, S, R, lam, col_norms2, tol, max_iter)
-    if not converged:
-        warnings.warn(
-            f"lasso_recover_batch: coordinate descent did not reach tol={tol} "
-            f"within {max_iter} sweeps",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return S
-
+    if live.size:
+        warnings.warn(f"lasso_recover_batch: {live.size} frame(s) did not reach lam within "
+                      f"max_iter={max_iter} steps, first {live[:5].tolist()}",
+                      RuntimeWarning, stacklevel=2)
+    return _active_solve(G, theta != 0, C - level[:, None] * theta)
