@@ -1,21 +1,29 @@
-"""Conventional sparsifying transforms: DCT, DFT, and PCA.
+"""Conventional sparsifying transforms: DCT, DFT and PCA, each one orthonormal basis.
 
-Each transform maps a length-N frame to N real coefficients in an
-orthonormal basis; sparsification keeps the K largest-magnitude
-coefficients through the same pruning operation the autoencoder uses, so
-all methods are compared on identical code paths.
+Every baseline is a ``Sparsifier``: an orthonormal N x N basis whose rows are
+``components``, and a ``mean``.  A frame x maps to the N coefficients
+``(x - mean) @ components.T`` and back by ``c @ components + mean``.  The
+frame is on the last axis, so a single frame (N,) and a batch (B, N) take
+the same path; a single frame is the B=1 case.  Sparsification keeps the K
+largest-magnitude coefficients through the same pruning operation the
+autoencoder uses, so all methods are compared on identical code paths.
 
-The DFT uses a real-valued packing: the DC term, then interleaved real
-and imaginary parts of the positive frequencies (each scaled by sqrt 2),
-and the Nyquist term for even N.  A kept complex frequency therefore
-consumes two of the K slots, which keeps the sparsity accounting honest
-in real numbers.
+The kinds differ only in the basis they build:
+
+- DCT: the orthonormal type-II discrete cosine transform; the mean is zero.
+- DFT: a real-valued packing of the orthonormal discrete Fourier transform:
+  the DC term, then interleaved real and imaginary parts of the positive
+  frequencies (each scaled by sqrt 2), and the Nyquist term for even N.  A
+  kept complex frequency therefore consumes two of the K slots, which keeps
+  the sparsity accounting honest in real numbers.  The mean is zero.
+- PCA: the eigenvectors of the training covariance, sorted by descending
+  eigenvalue, and the training mean.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct as _dct, idct as _idct
+from scipy.fft import dct as _dct
 
 from . import core
 
@@ -25,80 +33,67 @@ KINDS = ("dct", "dft", "pca")
 
 
 class Sparsifier:
-    """Common interface: encode a frame to a K-sparse code, decode it back."""
+    """An orthonormal basis: encode frames to K-sparse codes, decode them back.
+
+    components is (N, N) with orthonormal rows; mean is (N,).  Each kind
+    sets ``kind`` to its name.
+    """
 
     kind: str
-    code_length: int
+
+    def __init__(self, components: np.ndarray, mean: np.ndarray):
+        self.components = components
+        self.mean = mean
+        self.code_length = components.shape[0]
+
+    def _rows(self, a: np.ndarray, what: str) -> np.ndarray:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim not in (1, 2) or a.shape[-1] != self.code_length:
+            raise ValueError(
+                f"expected a {what} of length {self.code_length} or a batch of them "
+                f"on the last axis, got shape {a.shape}"
+            )
+        return a
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def inverse_transform(self, c: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Coefficients of a frame (N,) or a batch (B, N) in the basis."""
+        return (self._rows(x, "frame") - self.mean) @ self.components.T
 
     def encode(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Transform then keep the k largest-magnitude coefficients."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.code_length,):
-            raise ValueError(
-                f"expected frame of length {self.code_length}, got {x.shape}"
-            )
+        """Transform then keep the k largest-magnitude coefficients of each frame."""
         return core.shrink(self.transform(x), k)
 
     def decode(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (self.code_length,):
-            raise ValueError(
-                f"expected code of length {self.code_length}, got {s.shape}"
-            )
-        return self.inverse_transform(s)
+        """Frames from codes (N,) or (B, N); the inverse of transform."""
+        return self._rows(s, "code") @ self.components + self.mean
+
+    inverse_transform = decode
 
 
 class DctSparsifier(Sparsifier):
-    """Orthonormal type-II discrete cosine transform; stateless."""
+    """Orthonormal type-II discrete cosine transform."""
 
     kind = "dct"
 
     def __init__(self, n: int):
-        self.code_length = n
-
-    def transform(self, x):
-        return _dct(x, norm="ortho")
-
-    def inverse_transform(self, c):
-        return _idct(c, norm="ortho")
+        super().__init__(_dct(np.eye(n), norm="ortho", axis=0), np.zeros(n))
 
 
 class DftSparsifier(Sparsifier):
-    """Orthonormal real-packed discrete Fourier transform; stateless."""
+    """Orthonormal real-packed discrete Fourier transform."""
 
     kind = "dft"
 
     def __init__(self, n: int):
-        self.code_length = n
-
-    def transform(self, x):
-        n = self.code_length
-        spec = np.fft.rfft(x) / np.sqrt(n)
-        out = np.empty(n)
-        out[0] = spec[0].real
+        spec = np.fft.rfft(np.eye(n), axis=0) / np.sqrt(n)  # row f: frequency f
+        basis = np.empty((n, n))
+        basis[0] = spec[0].real
         half = (n - 1) // 2  # positive frequencies below Nyquist
-        out[1 : 1 + 2 * half : 2] = np.sqrt(2.0) * spec[1 : 1 + half].real
-        out[2 : 2 + 2 * half : 2] = np.sqrt(2.0) * spec[1 : 1 + half].imag
+        basis[1 : 1 + 2 * half : 2] = np.sqrt(2.0) * spec[1 : 1 + half].real
+        basis[2 : 2 + 2 * half : 2] = np.sqrt(2.0) * spec[1 : 1 + half].imag
         if n % 2 == 0:
-            out[-1] = spec[-1].real
-        return out
-
-    def inverse_transform(self, c):
-        n = self.code_length
-        half = (n - 1) // 2
-        spec = np.zeros(n // 2 + 1, dtype=complex)
-        spec[0] = c[0]
-        spec[1 : 1 + half] = (c[1 : 1 + 2 * half : 2]
-                              + 1j * c[2 : 2 + 2 * half : 2]) / np.sqrt(2.0)
-        if n % 2 == 0:
-            spec[-1] = c[-1]
-        return np.fft.irfft(spec * np.sqrt(n), n=n)
+            basis[-1] = spec[-1].real
+        super().__init__(basis, np.zeros(n))
 
 
 class PcaSparsifier(Sparsifier):
@@ -109,11 +104,6 @@ class PcaSparsifier(Sparsifier):
     """
 
     kind = "pca"
-
-    def __init__(self, components: np.ndarray, mean: np.ndarray):
-        self.components = components  # (N, N), rows orthonormal
-        self.mean = mean
-        self.code_length = components.shape[0]
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "PcaSparsifier":
@@ -128,15 +118,7 @@ class PcaSparsifier(Sparsifier):
         cov = centered.T @ centered / T
         eigvals, eigvecs = np.linalg.eigh(cov)
         order = np.argsort(eigvals)[::-1]
-        self = cls(components=eigvecs[:, order].T.copy(), mean=mean)
-        self.eigenvalues = eigvals[order]
-        return self
-
-    def transform(self, x):
-        return self.components @ (x - self.mean)
-
-    def inverse_transform(self, c):
-        return self.components.T @ c + self.mean
+        return cls(components=eigvecs[:, order].T.copy(), mean=mean)
 
 
 def fit(kind: str, X: np.ndarray) -> Sparsifier:

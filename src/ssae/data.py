@@ -25,7 +25,6 @@ __all__ = [
     "synthetic_field",
     "sphere",
     "sphere_rows",
-    "desphere",
     "desphere_rows",
     "dataset_std",
 ]
@@ -262,15 +261,8 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return D, means
 
 
-def desphere(d_hat: np.ndarray, mean: float, sigma: float) -> np.ndarray:
-    """Inverse of sphere: x_hat = 3*sigma*d_hat + mean."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return 3.0 * sigma * np.asarray(d_hat, dtype=np.float64) + mean
-
-
 def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
-    """Row-wise desphere with one mean per row."""
+    """Inverse of sphere_rows: x_hat = 3*sigma*d_hat + the row's mean, row by row."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     D_hat = np.asarray(D_hat, dtype=np.float64)

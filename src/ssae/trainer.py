@@ -165,7 +165,6 @@ def minimize(
     x0: np.ndarray,
     max_iterations: int,
     convergence_tol: float = 1e-7,
-    history: int = HISTORY_SIZE,
 ) -> MinimizeResult:
     """L-BFGS with two-loop recursion and a strong Wolfe line search.
 
@@ -215,7 +214,7 @@ def minimize(
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > history:
+            if len(s_hist) > HISTORY_SIZE:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
@@ -274,39 +273,6 @@ class TrainingConfig:
         if self.gamma == "auto":
             return gamma_for_eta(self.k_max / self.n_hidden)
         return float(self.gamma)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict, **overrides) -> "TrainingConfig":
-        """Build a config from string key/value pairs plus overrides."""
-        converters = {
-            "n_hidden": int, "k_max": int, "folds": int,
-            "max_iterations": int, "seed": int, "rounding_places": int,
-            "convergence_tol": float,
-            "gamma": lambda v: v if v == "auto" else float(v),
-        }
-        kwargs = {}
-        for key, value in mapping.items():
-            key = key.strip()
-            if key not in converters:
-                raise ValueError(f"unknown training option {key!r}")
-            kwargs[key] = converters[key](value)
-        kwargs.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path, **overrides) -> "TrainingConfig":
-        """Read `key = value` lines; blank lines and # comments are skipped."""
-        mapping = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping, **overrides)
 
 
 @dataclass

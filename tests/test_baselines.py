@@ -1,0 +1,104 @@
+import numpy as np
+import pytest
+import scipy.fft
+
+from ssae import baselines
+
+SIZES = (1, 2, 7, 23, 24)
+KINDS = ("dct", "dft", "pca")
+
+
+def training(n, seed=0):
+    """Correlated frames near 20, with T = 3N >= N rows."""
+    rng = np.random.default_rng(seed)
+    return 20.0 + rng.normal(size=(3 * n, n)) @ rng.normal(size=(n, n))
+
+
+CASES = [(kind, n) for kind in KINDS for n in SIZES if not (kind == "pca" and n < 2)]
+
+
+def packed_dft(x):
+    """Real packing of the orthonormal DFT, written out frequency by frequency."""
+    n = len(x)
+    spec = np.fft.rfft(x) / np.sqrt(n)
+    out = [spec[0].real]
+    for f in range(1, (n + 1) // 2):
+        out += [np.sqrt(2.0) * spec[f].real, np.sqrt(2.0) * spec[f].imag]
+    if n % 2 == 0:
+        out.append(spec[n // 2].real)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind,n", CASES)
+def test_basis_is_orthonormal(kind, n):
+    sp = baselines.fit(kind, training(n))
+    assert sp.kind == kind and sp.code_length == n
+    assert sp.components.shape == (n, n) and sp.mean.shape == (n,)
+    np.testing.assert_allclose(sp.components @ sp.components.T, np.eye(n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind,reference", [
+    ("dct", lambda x: scipy.fft.dct(x, norm="ortho")),
+    ("dft", packed_dft),
+])
+def test_matches_reference_transform(kind, reference, n):
+    sp = baselines.fit(kind, training(n))
+    for x in training(n, seed=1):
+        np.testing.assert_allclose(sp.transform(x), reference(x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,n", CASES)
+def test_batch_rows_equal_single_frames(kind, n):
+    sp = baselines.fit(kind, training(n))
+    X = training(n, seed=2)
+    k = max(1, n // 3)
+    S = sp.encode(X, k)
+    assert S.shape == X.shape
+    assert sp.encode(X[:1], k).shape == (1, n)
+    for x, s in zip(X, S):
+        single = sp.encode(x, k)
+        np.testing.assert_array_equal(single != 0, s != 0)
+        np.testing.assert_allclose(single, s, rtol=0, atol=1e-12)
+    X_hat = sp.decode(S)
+    for s, x_hat in zip(S, X_hat):
+        np.testing.assert_allclose(sp.decode(s), x_hat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,n", CASES)
+def test_sparsity_and_round_trip(kind, n):
+    sp = baselines.fit(kind, training(n))
+    X = training(n, seed=3)
+    for k in range(1, n + 1):
+        assert np.all(np.count_nonzero(sp.encode(X, k), axis=1) <= k)
+    np.testing.assert_allclose(sp.decode(sp.encode(X, n)), X, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 7, 23, 24])
+def test_pca_coefficient_variance_falls(n):
+    X = training(n)
+    var = baselines.fit("pca", X).transform(X).var(axis=0)
+    assert np.all(np.diff(var) <= 1e-12 * var[0])
+
+
+class TestErrors:
+    def test_wrong_frame_length_named(self):
+        sp = baselines.fit("dct", training(23))
+        with pytest.raises(ValueError, match=r"length 23.*\(22,\)"):
+            sp.encode(np.zeros(22), 5)
+        with pytest.raises(ValueError, match=r"length 23.*\(4, 24\)"):
+            sp.decode(np.zeros((4, 24)))
+        with pytest.raises(ValueError, match=r"\(2, 3, 23\)"):
+            sp.encode(np.zeros((2, 3, 23)), 5)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="wavelet"):
+            baselines.fit("wavelet", training(7))
+
+    def test_pca_needs_as_many_rows_as_sensors(self):
+        with pytest.raises(ValueError, match="N=7"):
+            baselines.fit("pca", training(7)[:6])
+
+    def test_training_matrix_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            baselines.fit("dct", np.zeros(7))

@@ -9,7 +9,7 @@ from ssae.data import (
     CsvFormatError,
     NoiseSpec,
     dataset_std,
-    desphere,
+    desphere_rows,
     generate_synthetic,
     load_csv,
     sphere,
@@ -162,11 +162,11 @@ class TestSphere:
 
 class TestDesphere:
     def test_zero_code(self):
-        np.testing.assert_array_equal(desphere(np.zeros(2), 7.0, 2.0), [7.0, 7.0])
+        np.testing.assert_array_equal(desphere_rows(np.zeros((1, 2)), [7.0], 2.0), [[7.0, 7.0]])
 
     def test_inverse_of_hand_example(self):
-        x = desphere(np.array([-1.0 / 3.0, 0.0, 1.0 / 3.0]), 20.0, 10.0)
-        np.testing.assert_allclose(x, [10.0, 20.0, 30.0], atol=1e-12)
+        x = desphere_rows(np.array([[-1.0 / 3.0, 0.0, 1.0 / 3.0]]), [20.0], 10.0)
+        np.testing.assert_allclose(x, [[10.0, 20.0, 30.0]], atol=1e-12)
 
     def test_round_trip_inside_clip_region(self):
         rng = np.random.default_rng(4)
@@ -175,12 +175,12 @@ class TestDesphere:
             x = rng.uniform(-1, 1, size=10) * 1.4 * sigma
             x = x - x.mean() + rng.normal() * 50  # centered deviations stay under 3 sigma
             f = sphere(x, sigma)
-            back = desphere(f.d, f.mean, sigma)
-            np.testing.assert_allclose(back, x, atol=1e-12)
+            back = desphere_rows(f.d[None], [f.mean], sigma)
+            np.testing.assert_allclose(back, x[None], atol=1e-12)
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
-            desphere(np.zeros(3), 0.0, -2.0)
+            desphere_rows(np.zeros((1, 3)), [0.0], -2.0)
 
 
 class TestSphereRows:

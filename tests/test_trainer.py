@@ -117,21 +117,6 @@ class TestTrainingConfig:
         cfg = TrainingConfig(n_hidden=10, k_max=5)
         np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
 
-    def test_from_file_with_overrides(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text(
-            "n_hidden = 8\nk_max = 3\ngamma = 0.2  # fixed penalty\nfolds = 4\n"
-        )
-        cfg = TrainingConfig.from_file(path, seed=7)
-        assert cfg.n_hidden == 8 and cfg.k_max == 3 and cfg.folds == 4
-        assert cfg.gamma == 0.2 and cfg.seed == 7
-
-    def test_from_file_unknown_key(self, tmp_path):
-        path = tmp_path / "train.cfg"
-        path.write_text("momentum = 0.9\n")
-        with pytest.raises(ValueError, match="momentum"):
-            TrainingConfig.from_file(path)
-
 
 def tiny_dataset(seed=0, n_sensors=6, n_samples=60):
     return generate_synthetic(n_sensors, n_samples, correlation_length=2.0,
