@@ -67,8 +67,6 @@ class Sparsifier:
         """Frames from codes (N,) or (B, N); the inverse of transform."""
         return self._rows(s, "code") @ self.components + self.mean
 
-    inverse_transform = decode
-
 
 class DctSparsifier(Sparsifier):
     """Orthonormal type-II discrete cosine transform."""

@@ -84,20 +84,15 @@ class SsaeParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_visible: int, n_hidden: int) -> "SsaeParams":
-        vec = np.asarray(vec, dtype=np.float64)
+        """Inverse of to_vector; the fields are views of one copy of vec."""
+        vec = np.array(vec, dtype=np.float64)
         N, L = n_visible, n_hidden
         expected = L * N + L + N * L + N
         if vec.shape != (expected,):
             raise ValueError(f"expected {expected} entries, got {vec.shape}")
-        i = 0
-        w1 = vec[i : i + L * N].reshape(L, N)
-        i += L * N
-        b1 = vec[i : i + L]
-        i += L
-        w2 = vec[i : i + N * L].reshape(N, L)
-        i += N * L
-        b2 = vec[i : i + N]
-        return cls(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy())
+        i, j, k = L * N, L * N + L, 2 * L * N + L
+        return cls(w1=vec[:i].reshape(L, N), b1=vec[i:j],
+                   w2=vec[j:k].reshape(N, L), b2=vec[k:])
 
 
 def _flatten(w1, b1, w2, b2) -> np.ndarray:

@@ -40,13 +40,11 @@ class Measurement:
                                [self.frame_mean]])
 
 
-def min_measurements(k: int, l: int, rho: float = 1.0) -> int:
-    """Measurement count M = ceil(rho * K * log2(L / K)), floored at 1."""
+def min_measurements(k: int, l: int) -> int:
+    """Measurement count M = ceil(K * log2(L / K)), floored at 1."""
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    return max(1, math.ceil(rho * k * math.log2(l / k)))
+    return max(1, math.ceil(k * math.log2(l / k)))
 
 
 def gaussian_sensing_matrix(m: int, l: int, seed: int = 0) -> np.ndarray:

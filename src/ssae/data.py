@@ -1,9 +1,10 @@
 """Sensor dataset handling: CSV ingestion, synthetic traces, sphering.
 
 A dataset is a plain float64 array of shape (T, N): one row per time
-instant, one column per sensor.  Sphering maps a raw frame into [-1, 1]
-by removing its own mean and scaling by three dataset standard
-deviations; desphering is the affine inverse.
+instant, one column per sensor.  sphere_rows is the one sphering path: it
+maps each frame on the last axis, (N,) or (B, N), into [-1, 1] by removing
+its own mean and scaling by three dataset standard deviations; sphere is
+its B=1 case and desphere_rows the affine inverse.
 """
 
 from __future__ import annotations
@@ -125,19 +126,11 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
-    lines = []
-    if header is not None:
-        if len(header) != X.shape[1]:
-            raise ValueError("header length does not match column count")
-        lines.append(",".join(header))
-    for row in X:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if header is not None and len(header) != X.shape[1]:
+        raise ValueError("header length does not match column count")
+    np.savetxt(sink, X, fmt="%.17g", delimiter=",",
+               header="" if header is None else ",".join(header),
+               comments="", encoding="utf-8")
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -234,30 +227,26 @@ def generate_synthetic(
 
 
 def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
-    """Normalize one frame: remove its mean, clip at 3*sigma, scale to [-1, 1]."""
+    """Sphere one frame (N,): sphere_rows at B=1, returned as a SpheredFrame."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D frame, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("frame contains non-finite values")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    mean = float(x.mean())
-    d = np.clip(x - mean, -3.0 * sigma, 3.0 * sigma) / (3.0 * sigma)
-    return SpheredFrame(d=d, mean=mean)
+    d, mean = sphere_rows(x, sigma)
+    return SpheredFrame(d=d, mean=float(mean))
 
 
 def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere every row of (T, N); returns (D, per-row means)."""
+    """Sphere a frame (N,) or every row of (B, N); returns (D, per-row means)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    if X.ndim not in (1, 2):
+        raise ValueError(f"expected a frame or a 2-D matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise ValueError("matrix contains non-finite values")
+        raise ValueError("frames contain non-finite values")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    means = X.mean(axis=1)
-    D = np.clip(X - means[:, None], -3.0 * sigma, 3.0 * sigma) / (3.0 * sigma)
+    means = X.mean(axis=-1)
+    # Bit-identical to clip(X - mean, +-3 sigma) / (3 sigma): division is monotone.
+    D = np.minimum(np.maximum((X - means[..., None]) / (3.0 * sigma), -1.0), 1.0)
     return D, means
 
 
@@ -266,7 +255,7 @@ def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndar
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     D_hat = np.asarray(D_hat, dtype=np.float64)
-    return 3.0 * sigma * D_hat + np.asarray(means, dtype=np.float64)[:, None]
+    return 3.0 * sigma * D_hat + np.asarray(means, dtype=np.float64)[..., None]
 
 
 def dataset_std(X: np.ndarray) -> float:

@@ -246,7 +246,6 @@ class TrainingConfig:
     max_iterations: int = 200
     convergence_tol: float = 1e-7
     seed: int = 0
-    rounding_places: int = 3
 
     def __post_init__(self):
         if self.n_hidden < 1:
@@ -261,8 +260,6 @@ class TrainingConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
-        if self.rounding_places < 0:
-            raise ValueError("rounding_places must be >= 0")
         if isinstance(self.gamma, str):
             if self.gamma != "auto":
                 raise ValueError(f"gamma must be a number or 'auto', got {self.gamma!r}")
@@ -311,7 +308,7 @@ def _fit_rows(X, sigma: float, gamma: float, config: TrainingConfig):
 
     def objective(vec):
         p = core.SsaeParams.from_vector(vec, n_visible, n_hidden)
-        return core.gradient(p, D, gamma, config.k_max, config.rounding_places)
+        return core.gradient(p, D, gamma, config.k_max)
 
     res = minimize(
         objective,
@@ -365,9 +362,7 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
         except FloatingPointError as exc:
             raise FloatingPointError(f"fold {i + 1}: {exc}") from exc
         fold_results.append(res)
-        rmse = evaluate_rmse(
-            params, sigma, shuffled[test_idx], config.k_max, config.rounding_places
-        )
+        rmse = evaluate_rmse(params, sigma, shuffled[test_idx], config.k_max)
         fold_rmse.append(rmse)
 
     return TrainingReport(

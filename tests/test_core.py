@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssae import core, trainer
 from ssae.core import (
@@ -107,6 +110,25 @@ class TestParams:
         np.testing.assert_array_equal(q.b1, p.b1)
         np.testing.assert_array_equal(q.w2, p.w2)
         np.testing.assert_array_equal(q.b2, p.b2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    def test_from_vector_inverts_to_vector_and_owns_its_copy(self, n, l, data):
+        def entries(shape):
+            return data.draw(hnp.arrays(
+                np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+        p = SsaeParams(w1=entries((l, n)), b1=entries(l), w2=entries((n, l)), b2=entries(n))
+        vec = p.to_vector()
+        q = SsaeParams.from_vector(vec, n, l)
+        fields = ("w1", "b1", "w2", "b2")
+        for name in fields:
+            a, b = getattr(q, name), getattr(p, name)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        vec[:] = 7.0  # later writes to the caller's vector
+        for name in fields:
+            assert np.array_equal(getattr(q, name), getattr(p, name)), name
 
 
 class TestHiddenActivation:
@@ -240,6 +262,30 @@ class TestRoundCode:
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):
             round_code(np.zeros(2), -1)
+
+
+codes = st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(-2.0, 2.0), st.just(0.0), st.floats(allow_nan=False))))
+
+
+class TestSparsityProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(codes, st.data())
+    def test_shrink_never_increases_nonzero_count(self, H, data):
+        k = data.draw(st.integers(1, H.shape[1]))
+        before = np.count_nonzero(H, axis=1)
+        after = np.count_nonzero(shrink(H, k), axis=1)
+        assert np.all(after <= np.minimum(before, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(codes, st.integers(0, 6))
+    def test_round_code_never_increases_nonzero_count(self, S, places):
+        # Entries above about 1.8e308 / 10**places overflow to +-inf, which
+        # stays nonzero.
+        with np.errstate(over="ignore"):
+            R = round_code(S, places)
+        assert np.all(np.count_nonzero(R, axis=1) <= np.count_nonzero(S, axis=1))
 
 
 class TestReconstruct:

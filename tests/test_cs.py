@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssae.cs import gaussian_sensing_matrix, lasso_recover_batch, min_measurements
+from ssae.cs import (
+    gaussian_sensing_matrix,
+    lasso_recover_batch,
+    measure,
+    min_measurements,
+)
 
 
 def test_min_measurements_operating_point():
@@ -21,6 +26,39 @@ class TestGaussianSensingMatrix:
     def test_rejects_more_measurements_than_code(self):
         with pytest.raises(ValueError, match="compress"):
             gaussian_sensing_matrix(26, 25)
+
+
+class TestMeasure:
+    M, L, K, B = 12, 25, 5, 6
+
+    @pytest.fixture
+    def frames(self):
+        rng = np.random.default_rng(8)
+        phi = gaussian_sensing_matrix(self.M, self.L, seed=0)
+        return phi, sparse_codes(rng, self.B, self.L, self.K), rng.normal(20.0, 3.0, self.B)
+
+    def test_y_is_phi_times_code(self, frames):
+        phi, S, _ = frames
+        for s in S:
+            np.testing.assert_array_equal(measure(phi, s, 0.0).y, phi @ s)
+
+    def test_payload_is_y_then_frame_mean(self, frames):
+        phi, S, means = frames
+        m = measure(phi, S[0], means[0])
+        assert m.payload.shape == (self.M + 1,)
+        np.testing.assert_array_equal(m.payload[:-1], m.y)
+        assert m.payload[-1] == means[0]
+
+    def test_frames_stack_to_the_batch(self, frames):
+        phi, S, means = frames
+        Y = np.array([measure(phi, s, mu).y for s, mu in zip(S, means)])
+        np.testing.assert_allclose(Y, S @ phi.T, rtol=1e-12, atol=1e-12)
+
+    def test_mismatched_shapes_rejected(self, frames):
+        phi, S, _ = frames
+        for bad_phi, bad_s in ((phi, S[0][:-1]), (phi, S), (phi[0], S[0]), (phi.T, S[0])):
+            with pytest.raises(ValueError, match="not compatible"):
+                measure(bad_phi, bad_s, 0.0)
 
 
 class TestLassoRecoverBatch:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssae import data
 from ssae.data import (
@@ -78,6 +81,51 @@ class TestWriteCsv:
         path = tmp_path / "big.csv"
         write_csv(X, path)
         np.testing.assert_array_equal(load_csv(path), X)
+
+
+def same_bits(a, b) -> bool:
+    """Bit-for-bit equality, so -0.0 differs from 0.0."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def reference_csv(X, header=None) -> str:
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in X]
+    return "\n".join(lines) + "\n"
+
+
+# Every finite double, plus the signed zero, subnormals and values near the
+# top of the range written out so each run meets them.
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308,
+               -1.7976931348623157e308, 1.7976931348623157e308]
+csv_matrices = st.tuples(st.integers(1, 12), st.integers(1, 8)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES))))
+
+
+class TestWriteCsvProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_matrices, st.booleans())
+    def test_round_trip_and_reference_text(self, X, with_header):
+        header = [f"s{j}" for j in range(X.shape[1])] if with_header else None
+        sink = io.StringIO()
+        write_csv(X, sink, header=header)
+        assert sink.getvalue() == reference_csv(X, header)
+        assert same_bits(load_csv(io.StringIO(sink.getvalue())), X)
+
+    def test_log_file_matches_reference(self, tmp_path):
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+        header = [f"s{j}" for j in range(23)]
+        path = tmp_path / "log.csv"
+        write_csv(X, path, header=header)
+        assert path.read_bytes() == reference_csv(X, header).encode("utf-8")
+
+    def test_rejects_non_matrix_and_wrong_header(self):
+        with pytest.raises(ValueError, match="2-D"):
+            write_csv(np.zeros(3), io.StringIO())
+        with pytest.raises(ValueError, match="header"):
+            write_csv(np.zeros((2, 3)), io.StringIO(), header=["a", "b"])
 
 
 class TestGenerateSynthetic:
@@ -192,6 +240,45 @@ class TestSphereRows:
             f = sphere(X[i], 1.5)
             np.testing.assert_array_equal(D[i], f.d)
             assert means[i] == f.mean
+
+
+def frames_or_batches(max_abs=1e6):
+    """A frame (N,) or a batch (B, N) of finite readings."""
+    shapes = st.one_of(st.tuples(st.integers(1, 30)),
+                       st.tuples(st.integers(1, 8), st.integers(1, 30)))
+    return shapes.flatmap(lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.floats(-max_abs, max_abs)))
+
+
+sigmas = st.floats(1e-3, 1e3)
+
+
+class TestSphereRowsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(frames_or_batches(), sigmas)
+    def test_frame_is_the_b1_case(self, X, sigma):
+        D, means = sphere_rows(np.atleast_2d(X), sigma)
+        for i, x in enumerate(np.atleast_2d(X)):
+            d, mean = sphere_rows(x, sigma)
+            f = sphere(x, sigma)
+            assert same_bits(d, D[i]) and same_bits(mean, means[i])
+            assert same_bits(f.d, D[i]) and same_bits(f.mean, means[i])
+        assert np.all(np.abs(D) <= 1.0)
+
+    def test_sphere_rejects_a_batch(self):
+        with pytest.raises(ValueError, match="1-D frame"):
+            sphere(np.zeros((2, 3)), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames_or_batches(max_abs=1.0), sigmas, st.floats(-1e4, 1e4))
+    def test_desphere_inverts_inside_clip_region(self, U, sigma, offset):
+        # Deviations of at most 1.4 sigma from zero stay within 2.8 sigma
+        # of the frame mean, inside the 3 sigma clip.
+        X = 1.4 * sigma * U + offset
+        back = desphere_rows(*sphere_rows(X, sigma), sigma)
+        assert back.shape == X.shape
+        tol = 64 * np.finfo(float).eps * max(np.abs(X).max(), sigma)
+        np.testing.assert_allclose(back, X, rtol=0, atol=tol)
 
 
 class TestDatasetStd:

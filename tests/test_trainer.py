@@ -21,7 +21,10 @@ class TestGammaForEta:
         assert gamma_for_eta(1.0) == 0.0
 
     def test_table_operating_point(self):
-        g = gamma_for_eta(5.0 / 23.0)
+        # The sparsity ratio is the share of the L code units that survive
+        # shrinking, K/L; it is the ratio the trainer and the bench use.
+        g = gamma_for_eta(5.0 / 25.0)
+        assert TrainingConfig(n_hidden=25, k_max=5).resolve_gamma() == g
         assert 0.195 <= g <= 0.21
 
     def test_half(self):
