@@ -19,6 +19,13 @@ the surviving units, rounding passes gradients through unchanged.
 gradient() returns (cost, flat gradient) from a single forward pass, the
 gradient in SsaeParams.to_vector order, which is the objective contract
 of trainer.minimize; cost() is the value alone.
+
+Shrinking is a threshold: one sort per row finds the k-th largest
+magnitude and every entry not below it is kept; only rows where that
+keeps more than k (a tie at the threshold, or a NaN) are redone by a
+stable sort, so ties keep the lower index.  An evaluation writes its
+temporaries in place and computes h^2 and 1 + h^2 once, keeping the
+operand order of the formulas above, so its bits equal theirs.
 """
 
 from __future__ import annotations
@@ -109,7 +116,9 @@ def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"frame length {d.shape[-1]} does not match n_visible {params.n_visible}"
         )
-    return np.tanh(d @ params.w1.T + params.b1)
+    Z = d @ params.w1.T
+    Z += params.b1
+    return np.tanh(Z, out=Z)
 
 
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
@@ -121,12 +130,19 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     L = h.shape[-1]
     if not 1 <= k <= L:
         raise ValueError(f"k must be in [1, {L}], got {k}")
-    mask = np.zeros(h.shape, dtype=bool)
     if k == L:
-        mask[...] = True
-        return mask
-    order = np.argsort(-np.abs(h), axis=-1, kind="stable")
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+        return np.ones(h.shape, dtype=bool)
+    # Sorting -|h| ranks NaN last, as the stable sort does, and keeping
+    # what is not above the k-th value keeps at least k in every row.
+    neg = np.abs(h)
+    np.negative(neg, out=neg)
+    mask = ~(neg > np.sort(neg, axis=-1)[..., k - 1, None])
+    if np.count_nonzero(mask) != k * (mask.size // L):
+        redo = np.count_nonzero(mask, axis=-1) != k
+        order = np.argsort(neg[redo], axis=-1, kind="stable")
+        fixed = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(fixed, order[..., :k], True, axis=-1)
+        mask[redo] = fixed
     return mask
 
 
@@ -139,13 +155,25 @@ def shrink(h: np.ndarray, k: int) -> np.ndarray:
 def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     """Round each entry to `places` decimals, halves away from zero.
 
-    Exact zeros stay zero, so the nonzero count never increases.
+    Exact zeros stay zero, so the nonzero count never increases.  Entries
+    with |s| >= 2**52 / 10**places are already whole at that precision
+    and are returned unchanged, so finite codes stay finite.
     """
     if places < 0:
         raise ValueError(f"places must be >= 0, got {places}")
     s = np.asarray(s, dtype=np.float64)
     f = 10.0 ** places
-    return np.sign(s) * np.floor(np.abs(s) * f + 0.5) / f
+    whole = 2.0 ** 52 / f
+    r = np.abs(s)
+    if not r.max(initial=0.0) < whole:  # rare; NaN and inf land here too
+        small = r < whole
+        return np.where(small, round_code(np.where(small, s, 0.0), places), s)
+    r *= f
+    r += 0.5
+    np.floor(r, out=r)
+    r *= np.sign(s)
+    r /= f
+    return r
 
 
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
@@ -155,7 +183,9 @@ def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"code length {s.shape[-1]} does not match n_hidden {params.n_hidden}"
         )
-    return np.tanh(s @ params.w2.T + params.b2)
+    Z = s @ params.w2.T
+    Z += params.b2
+    return np.tanh(Z, out=Z)
 
 
 def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:
@@ -172,7 +202,10 @@ def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:
 
 
 def _forward(params, D, gamma, k, rounding_places):
-    """The pass shared by cost() and gradient(): layers and objective value."""
+    """The pass shared by cost() and gradient(): layers and objective value.
+
+    Also returns H*H and 1 + H*H, which the penalty and its derivative share.
+    """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     D = _check_batch(params, D)
@@ -184,9 +217,11 @@ def _forward(params, D, gamma, k, rounding_places):
         S = round_code(S, rounding_places)
     D_hat = reconstruct(params, S)
     err = D_hat - D
-    recon = 0.5 * float(np.sum(err ** 2)) / T
-    penalty = gamma * float(np.sum(np.log10(1.0 + H * H))) / T
-    return recon + penalty, (D, H, mask, S, D_hat, err)
+    recon = 0.5 * float(np.sum(np.square(err))) / T
+    HH = H * H
+    one_plus_HH = 1.0 + HH
+    penalty = gamma * float(np.sum(np.log10(one_plus_HH))) / T
+    return recon + penalty, (D, H, HH, one_plus_HH, mask, S, D_hat, err)
 
 
 def cost(
@@ -221,18 +256,25 @@ def gradient(
     d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
     through the first-layer tanh derivative.
     """
-    c, (D, H, mask, S, D_hat, err) = _forward(params, D, gamma, k, rounding_places)
+    c, (D, H, HH, one_plus_HH, mask, S, D_hat, err) = _forward(
+        params, D, gamma, k, rounding_places)
     T = D.shape[0]
 
-    delta2 = err * (1.0 - D_hat * D_hat)           # (T, N)
+    delta2 = D_hat * D_hat                         # (T, N): err * (1 - D_hat^2)
+    np.subtract(1.0, delta2, out=delta2)
+    delta2 *= err
     g_w2 = delta2.T @ S / T                        # (N, L)
     g_b2 = delta2.sum(axis=0) / T                  # (N,)
 
-    back = delta2 @ params.w2                      # (T, L)
-    dh = np.where(mask, back, 0.0)                 # pruned units get nothing
-    dh = dh + gamma * (2.0 * H) / ((1.0 + H * H) * _LN10)
-    delta1 = dh * (1.0 - H * H)                    # (T, L)
-    g_w1 = delta1.T @ D / T                        # (L, N)
-    g_b1 = delta1.sum(axis=0) / T                  # (L,)
+    dh = np.where(mask, delta2 @ params.w2, 0.0)   # (T, L); pruned units get nothing
+    penalty = 2.0 * H                              # gamma * 2h / ((1 + h^2) ln 10)
+    penalty *= gamma
+    one_plus_HH *= _LN10
+    penalty /= one_plus_HH
+    dh += penalty
+    np.subtract(1.0, HH, out=HH)                   # delta1 = dh * (1 - h^2)
+    dh *= HH
+    g_w1 = dh.T @ D / T                            # (L, N)
+    g_b1 = dh.sum(axis=0) / T                      # (L,)
 
     return c, _flatten(g_w1, g_b1, g_w2, g_b2)

@@ -66,12 +66,23 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _is_header(row: list[str]) -> bool:
+    # A header is a first row with no numeric field at all; anything else
+    # is data and a stray label in it is a parse error, not a header.
+    return not any(_is_number(cell) for cell in row)
+
+
 def load_csv(source) -> np.ndarray:
     """Read a (T, N) dataset from a path, file object, or text.
 
     Accepts an optional header row (a first row whose fields are all
     non-numeric).  Raises CsvFormatError naming the offending row/column
     for ragged rows, non-numeric cells, and empty files.
+
+    Clean numeric text is parsed by np.loadtxt; anything it rejects, or
+    any non-finite value, goes through a cell-by-cell parser that finds
+    the first offending row and column, so every text gives the same
+    array or the same error either way.
     """
     if hasattr(source, "read"):
         raw = source.read()
@@ -79,7 +90,29 @@ def load_csv(source) -> np.ndarray:
     else:
         with open(source, "rb") as fh:
             text = fh.read().decode("utf-8")
+    X = _load_numeric(text)
+    return X if X is not None else _load_rows(text)
 
+
+def _load_numeric(text: str) -> np.ndarray | None:
+    """np.loadtxt parse of text that is all finite numbers; None otherwise."""
+    lines = text.split("\n")  # the line breaks of csv.reader on io.StringIO
+    try:
+        reader = csv.reader(lines)
+        first = next((row for row in reader if row), None)
+        if first is None:
+            return None
+        if _is_header(first):
+            lines = lines[reader.line_num:]
+            if not any(line.strip() for line in lines):
+                return None  # np.loadtxt would warn that it found no data
+        X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):
+        return None
+    return X if X.size and np.isfinite(X).all() else None
+
+
+def _load_rows(text: str) -> np.ndarray:
     rows = [
         (lineno, row)
         for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1)
@@ -88,9 +121,7 @@ def load_csv(source) -> np.ndarray:
     if not rows:
         raise CsvFormatError("empty CSV: no data rows")
 
-    # A header is a first row with no numeric field at all; anything else
-    # is data and a stray label in it is a parse error, not a header.
-    if not any(_is_number(cell) for cell in rows[0][1]):
+    if _is_header(rows[0][1]):
         rows = rows[1:]
         if not rows:
             raise CsvFormatError("CSV contains only a header, no data rows")

@@ -281,11 +281,47 @@ class TestSparsityProperties:
     @settings(max_examples=200, deadline=None)
     @given(codes, st.integers(0, 6))
     def test_round_code_never_increases_nonzero_count(self, S, places):
-        # Entries above about 1.8e308 / 10**places overflow to +-inf, which
-        # stays nonzero.
-        with np.errstate(over="ignore"):
-            R = round_code(S, places)
+        R = round_code(S, places)
         assert np.all(np.count_nonzero(R, axis=1) <= np.count_nonzero(S, axis=1))
+        finite = np.isfinite(S)
+        assert np.isfinite(R[finite]).all()
+        whole = np.abs(S) >= 2.0 ** 52 / 10.0 ** places
+        assert np.array_equal(R[whole], S[whole])
+
+
+def reference_shrink_mask(h, k):
+    """The k largest magnitudes by a stable sort of -|h|: ties keep the
+    lower index and NaN ranks below every number."""
+    order = np.argsort(-np.abs(h), axis=-1, kind="stable")
+    mask = np.zeros(h.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
+# A small grid makes magnitude ties common; +-0.0 and NaN rows are the
+# edge cases of a threshold rule.
+tie_grid = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+frame_or_batch = st.one_of(st.tuples(st.integers(1, 12)),
+                          st.tuples(st.integers(1, 8), st.integers(1, 12)))
+activations = frame_or_batch.flatmap(lambda shape: hnp.arrays(
+    np.float64, shape,
+    elements=st.one_of(tie_grid, tie_grid, st.floats(-1.0, 1.0), st.just(np.nan))))
+
+
+class TestShrinkMaskProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(activations, st.data())
+    def test_matches_stable_argsort_reference(self, H, data):
+        k = data.draw(st.integers(1, H.shape[-1]))
+        assert np.array_equal(shrink_mask(H, k), reference_shrink_mask(H, k))
+
+    def test_nan_row_and_tied_row_in_one_batch(self):
+        # Fewer numbers than k in one row and a k-way tie in the other: a
+        # threshold keeping too few in the first and too many in the second
+        # would still keep 2k in the batch.
+        H = np.array([[np.nan, np.nan, np.nan, 0.5], [0.5, -0.5, 0.5, -0.5]])
+        assert np.array_equal(shrink_mask(H, 2),
+                              [[True, False, False, True], [True, True, False, False]])
 
 
 class TestReconstruct:
@@ -347,7 +383,63 @@ class TestCost:
             cost(zero_params(3, 4), np.zeros((5, 2)), 0.1, 2)
 
 
+def reference_cost_and_gradient(p, D, gamma, k, places):
+    """The objective and its backpropagated gradient, one formula per line."""
+    T = D.shape[0]
+    H = np.tanh(D @ p.w1.T + p.b1)
+    mask = reference_shrink_mask(H, k)
+    S = np.where(mask, H, 0.0)
+    if places is not None:
+        f = 10.0 ** places
+        S = np.sign(S) * np.floor(np.abs(S) * f + 0.5) / f
+    D_hat = np.tanh(S @ p.w2.T + p.b2)
+    err = D_hat - D
+    c = (0.5 * float(np.sum(err ** 2)) / T
+         + gamma * float(np.sum(np.log10(1.0 + H * H))) / T)
+    delta2 = err * (1.0 - D_hat * D_hat)
+    g_w2 = delta2.T @ S / T
+    g_b2 = delta2.sum(axis=0) / T
+    dh = np.where(mask, delta2 @ p.w2, 0.0)
+    dh = dh + gamma * (2.0 * H) / ((1.0 + H * H) * math.log(10.0))
+    delta1 = dh * (1.0 - H * H)
+    g_w1 = delta1.T @ D / T
+    g_b1 = delta1.sum(axis=0) / T
+    return c, np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+
+# (N, L, T, k as a share of L, gamma, weight scale, data seed)
+evaluation_cases = st.tuples(
+    st.integers(1, 7), st.integers(1, 9), st.integers(1, 12), st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.05, 0.2, 1.0]), st.sampled_from([0.1, 0.4, 1.5]),
+    st.integers(0, 2**32 - 1))
+
+
+def draw_case(case):
+    N, L, T, share, gamma, scale, seed = case
+    rng = np.random.default_rng(seed)
+    k = max(1, math.ceil(share * L))
+    D = rng.uniform(-0.9, 0.9, (T, N))
+    return random_params(rng, N, L, scale=scale), D, gamma, k
+
+
 class TestGradient:
+    @settings(max_examples=150, deadline=None)
+    @given(evaluation_cases, st.sampled_from([3, None]))
+    def test_equals_unfused_reference(self, case, places):
+        p, D, gamma, k = draw_case(case)
+        c, g = gradient(p, D, gamma, k, rounding_places=places)
+        c_ref, g_ref = reference_cost_and_gradient(p, D, gamma, k, places)
+        assert c == c_ref
+        assert np.array_equal(g, g_ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(evaluation_cases)
+    def test_matches_central_differences(self, case):
+        p, D, gamma, k = draw_case(case)
+        _, g = gradient(p, D, gamma, k, rounding_places=None)
+        fd = central_differences(frozen_cost_fn(p, D, gamma, k), p.to_vector())
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+
     def test_zero_data_zero_params(self):
         p = zero_params(3, 4)
         _, g = gradient(p, np.zeros((5, 3)), gamma=0.3, k=2)

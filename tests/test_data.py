@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -58,6 +58,66 @@ class TestLoadCsv:
     def test_bytes_stream(self):
         X = load_csv(io.BytesIO(b"1,2\n"))
         np.testing.assert_array_equal(X, [[1.0, 2.0]])
+
+
+def parse_outcome(parse, text):
+    """The array a parser returns, or the type and message of what it raised."""
+    try:
+        return parse(text)
+    except Exception as exc:  # what it raised is the outcome
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return same_bits(a, b)
+    return a == b
+
+
+# Cells that np.loadtxt and float() may read differently or not at all.
+ODD_CELLS = ["", " ", "1_0", "nan", "inf", "-inf", "1e400", '"5"', '"1,2"', '"a\nb"',
+             "x", "s1", "\t7 ", "1e", "0x10", "+.5", "-0.0", "\u00a01", "１"]
+numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str))
+header_cells = st.sampled_from(["s1", "a", '"b"', '"c,d"', "", "  ", "1_x"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed numeric CSV with the odd header, blank line, ragged
+    row, bad cell, line ending and missing final newline mixed in."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(header_cells, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])))
+        w = width if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        odd = draw(st.integers(0, 3)) == 0
+        cells = st.one_of(numbers, st.sampled_from(ODD_CELLS)) if odd else numbers
+        row = draw(st.lists(cells, min_size=w, max_size=w))
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+class TestLoadCsvFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(csv_texts(), st.text(alphabet="0123456789.,-+e \t\r\n\"ab_n\x0c\x1c\u2028")))
+    @example("a,b\n\n\r\n")  # np.loadtxt would warn: no data after the header
+    @example("1,2\x0c3,4\n")  # str.splitlines would end a line at the form feed
+    def test_same_array_or_error_as_the_cell_parser(self, text):
+        fast = parse_outcome(lambda t: load_csv(io.StringIO(t)), text)
+        slow = parse_outcome(data._load_rows, text)
+        assert same_outcome(fast, slow), (fast, slow)
+
+    def test_log_with_header_takes_the_fast_path(self):
+        X = generate_synthetic(23, 200, noise=NoiseSpec(variance=0.01, seed=3))
+        sink = io.StringIO()
+        write_csv(X, sink, header=[f"s{j}" for j in range(23)])
+        fast = data._load_numeric(sink.getvalue())
+        assert fast is not None and same_outcome(fast, X)
 
 
 class TestWriteCsv:
