@@ -206,8 +206,8 @@ def _forward(params, D, gamma, k, rounding_places):
 
     Also returns H*H and 1 + H*H, which the penalty and its derivative share.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     D = _check_batch(params, D)
     T = D.shape[0]
     H = hidden_activation(params, D)

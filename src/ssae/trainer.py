@@ -258,13 +258,13 @@ class TrainingConfig:
             raise ValueError("folds must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         if isinstance(self.gamma, str):
             if self.gamma != "auto":
                 raise ValueError(f"gamma must be a number or 'auto', got {self.gamma!r}")
-        elif self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        elif not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
     def resolve_gamma(self) -> float:
         if self.gamma == "auto":

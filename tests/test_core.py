@@ -378,6 +378,12 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(zero_params(3, 4), np.zeros((0, 3)), 0.1, 2)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma):
+        for f in (cost, gradient):
+            with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+                f(zero_params(3, 4), np.zeros((5, 3)), gamma, 2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cost(zero_params(3, 4), np.zeros((5, 2)), 0.1, 2)

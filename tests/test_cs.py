@@ -102,13 +102,13 @@ def sparse_codes(rng, b, l, k):
 
 @st.composite
 def problems(draw):
-    """A random matrix, B frames of noisy sparse codes and a lam: None,
-    a scalar or one per frame."""
+    """A random Gaussian matrix, M up to L + 5, B frames of noisy sparse
+    codes and a lam: None, a scalar or one per frame."""
     l = draw(st.integers(1, 30))
-    m = draw(st.integers(1, l))
+    m = draw(st.integers(1, l + 5))
     b = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    phi = gaussian_sensing_matrix(m, l, seed=int(rng.integers(2**32)))
+    phi = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, l))  # gaussian_sensing_matrix needs m <= l
     Y = sparse_codes(rng, b, l, int(rng.integers(1, l + 1))) @ phi.T
     Y += draw(st.sampled_from([0.0, 1e-3, 0.1])) * rng.normal(size=Y.shape)
     lam0 = np.max(np.abs(Y @ phi), axis=1)
@@ -128,6 +128,74 @@ def resolved_lam(phi, Y, lam):
     return np.broadcast_to(lam, (len(Y),))
 
 
+def assert_kkt(phi, Y, S, lam):
+    lam = np.broadcast_to(resolved_lam(phi, Y, lam)[:, None], S.shape)
+    corr = (Y - S @ phi.T) @ phi
+    on = S != 0
+    assert np.all(np.abs(corr[~on]) <= lam[~on] * (1 + 1e-9))
+    assert np.all(np.abs(corr - lam * np.sign(S))[on] <= 1e-9 * lam[on])
+
+
+def reference_active_solve(G, active, rhs):
+    k = int(active.sum(axis=1).max(initial=0))
+    idx = np.argsort(~active, axis=1, kind="stable")[:, :k]
+    on = np.take_along_axis(active, idx, axis=1)
+    sub = np.where(on[:, :, None] & on[:, None, :], G[idx[:, :, None], idx[:, None, :]], 0.0)
+    sub[:, range(k), range(k)] += ~on
+    b = np.where(on, np.take_along_axis(rhs, idx, axis=1), 0.0)
+    x = np.zeros(active.shape)
+    np.put_along_axis(x, idx, np.linalg.solve(sub, b[:, :, None])[:, :, 0], axis=1)
+    return x
+
+
+def reference_recover(phi, Y, lam=None, max_iter=None):
+    """The same homotopy with a fresh solve of G_AA over every frame's whole
+    state at every step: the path the incremental solver must follow."""
+    B, (M, L) = Y.shape[0], phi.shape
+    G, C = phi.T @ phi, Y @ phi
+    lam0 = np.max(np.abs(C), axis=1, initial=0.0)
+    lam = np.broadcast_to(np.asarray(1e-4 * lam0 if lam is None else lam,
+                                     dtype=np.float64), (B,)).copy()
+    max_iter = 8 * L if max_iter is None else max_iter
+    S, theta, left = np.zeros((B, L)), np.zeros((B, L)), np.zeros((B, L))
+    level = np.maximum(lam0, lam)
+    live = np.flatnonzero(lam < lam0)
+    j = np.argmax(np.abs(C[live]), axis=1)
+    theta[live, j] = np.sign(C[live, j])
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        th, s, lv = theta[live], S[live], level[live, None]
+        A, lo = th != 0, 1e-14 * lv
+        d = reference_active_solve(G, A, th)
+        a = d @ G
+        c = C[live] - s @ G
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_up, t_down, t_drop = (lv - c) / (1 - a), (lv + c) / (1 + a), -s / d
+        t_join = np.fmin(np.where((t_up > lo) & (left[live] <= 0), t_up, np.inf),
+                         np.where((t_down > lo) & (left[live] >= 0), t_down, np.inf))
+        t_join[A | (A.sum(axis=1, keepdims=True) >= M)] = np.inf
+        t_drop[~(t_drop > lo) | ~A] = np.inf
+        jj, jd = np.argmin(t_join, axis=1), np.argmin(t_drop, axis=1)
+        tj, td, t_target = t_join.min(axis=1), t_drop.min(axis=1), lv[:, 0] - lam[live]
+        t = np.minimum(t_target, np.minimum(tj, td))
+        done = t_target <= t
+        drop, join = ~done & (td <= tj), ~done & (td > tj)
+        S[live] = s + t[:, None] * d
+        level[live] = np.where(done, lam[live], lv[:, 0] - t)
+        left[live] = 0.0
+        f, k = live[drop], jd[drop]
+        left[f, k], theta[f, k], S[f, k] = theta[f, k], 0.0, 0.0
+        f, k = live[join], jj[join]
+        theta[f, k] = np.sign(c[join, k] - t[join] * a[join, k])
+        live = live[~done]
+    if live.size:
+        warnings.warn(f"lasso_recover_batch: {live.size} frame(s) did not reach lam within "
+                      f"max_iter={max_iter} steps, first {live[:5].tolist()}",
+                      RuntimeWarning, stacklevel=2)
+    return reference_active_solve(G, theta != 0, C - level[:, None] * theta)
+
+
 class TestLassoRecoverBatchProperties:
     @settings(max_examples=200, deadline=None)
     @given(problems())
@@ -136,11 +204,36 @@ class TestLassoRecoverBatchProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             S = lasso_recover_batch(phi, Y, lam)
-        lam = np.broadcast_to(resolved_lam(phi, Y, lam)[:, None], S.shape)
-        corr = (Y - S @ phi.T) @ phi
-        on = S != 0
-        assert np.all(np.abs(corr[~on]) <= lam[~on] * (1 + 1e-9))
-        assert np.all(np.abs(corr - lam * np.sign(S))[on] <= 1e-9 * lam[on])
+        assert_kkt(phi, Y, S, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems())
+    def test_bit_identical_to_per_step_solve(self, problem):
+        phi, Y, lam = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            S = lasso_recover_batch(phi, Y, lam)
+        assert np.array_equal(S, reference_recover(phi, Y, lam))
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems())
+    def test_stopped_path_matches_per_step_solve(self, problem):
+        # A frame stopped by max_iter ends at a penalty the two solvers reach
+        # a few ulps apart; its code moves by that times cond(G_AA).
+        phi, Y, lam = problem
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            S = lasso_recover_batch(phi, Y, lam, max_iter=2)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            R = reference_recover(phi, Y, lam, max_iter=2)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        for s, r in zip(S, R):
+            on = r != 0
+            assert np.array_equal(s != 0, on)
+            if on.any():
+                scale = np.linalg.cond(phi[:, on].T @ phi[:, on]) * max(1.0, np.abs(r).max())
+                assert np.abs(s - r).max() <= 1e-13 * scale
 
     @settings(max_examples=50, deadline=None)
     @given(problems(), st.data())
@@ -177,6 +270,22 @@ class TestLassoRecoverBatchProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             lasso_recover_batch(phi, Y)
+
+
+@pytest.mark.parametrize("m", [12, 20])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_twin_columns_recover_without_error(m, noise):
+    # phi_20 = phi_3 and phi_21 = -phi_7: the later twin's correlation ties
+    # the earlier one's, so it never joins and G_AA stays invertible.
+    phi = gaussian_sensing_matrix(m, 25)
+    phi[:, 20], phi[:, 21] = phi[:, 3], -phi[:, 7]
+    rng = np.random.default_rng(5)
+    Y = sparse_codes(rng, 300, 25, 5) @ phi.T + noise * rng.normal(size=(300, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = lasso_recover_batch(phi, Y)
+    assert_kkt(phi, Y, S, None)
+    assert not S[:, 20:22].any()
 
 
 class TestLassoRecoverBatchErrors:

@@ -116,6 +116,13 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(n_hidden=5, k_max=2, gamma="bogus")
 
+    @pytest.mark.parametrize("field, bad", [("gamma", math.nan), ("gamma", math.inf),
+                                            ("gamma", -0.1), ("convergence_tol", math.nan),
+                                            ("convergence_tol", math.inf), ("convergence_tol", 0.0)])
+    def test_non_finite_or_out_of_range_knob_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainingConfig(n_hidden=5, k_max=2, **{field: bad})
+
     def test_auto_gamma(self):
         cfg = TrainingConfig(n_hidden=10, k_max=5)
         np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
