@@ -30,6 +30,7 @@ operand order of the formulas above, so its bits equal theirs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +122,22 @@ def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
     return np.tanh(Z, out=Z)
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; a ValueError naming the argument if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest-magnitude entries along the last axis.
 
-    Ties keep the lower index (stable sort on descending magnitude).
+    k is an integer in [1, L].  Ties keep the lower index (stable sort on
+    descending magnitude).
     """
     h = np.asarray(h, dtype=np.float64)
-    L = h.shape[-1]
+    L, k = h.shape[-1], _integer("k", k)
     if not 1 <= k <= L:
         raise ValueError(f"k must be in [1, {L}], got {k}")
     if k == L:
@@ -136,7 +146,9 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     # what is not above the k-th value keeps at least k in every row.
     neg = np.abs(h)
     np.negative(neg, out=neg)
-    mask = ~(neg > np.sort(neg, axis=-1)[..., k - 1, None])
+    srt = neg.copy()
+    srt.sort(axis=-1)  # np.sort(neg, axis=-1) without its Python wrapper
+    mask = ~(neg > srt[..., k - 1, None])
     if np.count_nonzero(mask) != k * (mask.size // L):
         redo = np.count_nonzero(mask, axis=-1) != k
         order = np.argsort(neg[redo], axis=-1, kind="stable")
@@ -149,7 +161,9 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
 def shrink(h: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries at their exact values, zero the rest."""
     h = np.asarray(h, dtype=np.float64)
-    return np.where(shrink_mask(h, k), h, 0.0)
+    out = np.zeros(h.shape)  # np.where(mask, h, 0.0), bit for bit, at less cost per call
+    np.copyto(out, h, where=shrink_mask(h, k))
+    return out
 
 
 def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
@@ -157,15 +171,18 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
 
     Exact zeros stay zero, so the nonzero count never increases.  Entries
     with |s| >= 2**52 / 10**places are already whole at that precision
-    and are returned unchanged, so finite codes stay finite.
+    and are returned unchanged, so finite codes stay finite.  places is an
+    integer in [0, 308]: 10**309 is beyond float64.
     """
-    if places < 0:
-        raise ValueError(f"places must be >= 0, got {places}")
+    places = _integer("places", places)
+    if not 0 <= places <= 308:
+        raise ValueError(f"places must be in [0, 308], got {places}")
     s = np.asarray(s, dtype=np.float64)
     f = 10.0 ** places
     whole = 2.0 ** 52 / f
     r = np.abs(s)
-    if not r.max(initial=0.0) < whole:  # rare; NaN and inf land here too
+    # r.max(initial=0.0) without its Python wrapper; NaN and inf fail it too
+    if not np.maximum.reduce(r, axis=None, initial=0.0) < whole:
         small = r < whole
         return np.where(small, round_code(np.where(small, s, 0.0), places), s)
     r *= f

@@ -39,8 +39,10 @@ class Measurement:
     @property
     def payload(self) -> np.ndarray:
         """All transmitted values: y followed by the frame mean (M + 1 numbers)."""
-        return np.concatenate([np.asarray(self.y, dtype=np.float64),
-                               [self.frame_mean]])
+        out = np.empty(len(self.y) + 1)  # np.concatenate([y, [mean]]), bit for bit
+        out[:-1] = self.y
+        out[-1] = self.frame_mean
+        return out
 
 
 def min_measurements(k: int, l: int) -> int:
@@ -130,6 +132,8 @@ def lasso_recover_batch(
     bad = ~(np.isfinite(lam) & (lam >= 0))
     if bad.any():
         raise ValueError(f"lam of frame {int(np.argmax(bad))} must be finite and >= 0")
+    if not L:  # a code of length 0 has nothing to recover
+        return np.zeros((B, 0))
     max_iter = 8 * L if max_iter is None else max_iter
     g = np.diag(G)
     # The later column of a twin pair (phi_j = +-phi_i) never joins: its

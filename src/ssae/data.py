@@ -267,23 +267,31 @@ def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
 
 
 def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere a frame (N,) or every row of (B, N); returns (D, per-row means)."""
+    """Sphere a frame (N,) or every row of (B, N); returns (D, per-row means).
+
+    Frames must be finite with N >= 1, and sigma finite and positive.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (1, 2):
         raise ValueError(f"expected a frame or a 2-D matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if not X.shape[-1]:
+        raise ValueError(f"frames have no sensors, got shape {X.shape}")
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):  # .all() without its wrapper
         raise ValueError("frames contain non-finite values")
-    if not sigma > 0:
+    if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    means = X.mean(axis=-1)
+    means = np.add.reduce(X, axis=-1) / X.shape[-1]  # X.mean(axis=-1), bit for bit
     # Bit-identical to clip(X - mean, +-3 sigma) / (3 sigma): division is monotone.
-    D = np.minimum(np.maximum((X - means[..., None]) / (3.0 * sigma), -1.0), 1.0)
+    D = X - means[..., None]
+    D /= 3.0 * sigma
+    np.maximum(D, -1.0, out=D)
+    np.minimum(D, 1.0, out=D)
     return D, means
 
 
 def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
     """Inverse of sphere_rows: x_hat = 3*sigma*d_hat + the row's mean, row by row."""
-    if not sigma > 0:
+    if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
     D_hat = np.asarray(D_hat, dtype=np.float64)
     return 3.0 * sigma * D_hat + np.asarray(means, dtype=np.float64)[..., None]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -225,6 +225,17 @@ class TestShrink:
         with pytest.raises(ValueError):
             shrink(np.zeros(3), 4)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        for fn in (shrink, shrink_mask):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                fn(np.array([0.5, -0.01, 0.3]), k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_integer_like_k(self, k):
+        h = np.array([0.5, -0.01, 0.3])
+        assert shrink(h, k).tobytes() == shrink(h, int(k)).tobytes()
+
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(10)
         H = rng.normal(size=(6, 7))
@@ -262,6 +273,21 @@ class TestRoundCode:
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):
             round_code(np.zeros(2), -1)
+
+    @pytest.mark.parametrize("places", [2.5, 3.0, "3", None])
+    def test_non_integer_places_rejected(self, places):
+        with pytest.raises(ValueError, match="places must be an integer"):
+            round_code(np.array([1.2345]), places)
+
+    def test_places_beyond_float64_rejected(self):
+        round_code(np.array([1.2345]), 308)
+        with pytest.raises(ValueError, match=r"places must be in \[0, 308\], got 400"):
+            round_code(np.array([1.2345]), 400)
+
+    @pytest.mark.parametrize("places", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_places(self, places):
+        s = np.array([1.2345, -0.0005, 0.0])
+        assert round_code(s, places).tobytes() == round_code(s, 3).tobytes()
 
 
 codes = st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(
@@ -310,10 +336,21 @@ activations = frame_or_batch.flatmap(lambda shape: hnp.arrays(
 
 class TestShrinkMaskProperty:
     @settings(max_examples=300, deadline=None)
-    @given(activations, st.data())
-    def test_matches_stable_argsort_reference(self, H, data):
-        k = data.draw(st.integers(1, H.shape[-1]))
+    @given(activations, st.integers(0, 11))
+    # A row with fewer numbers than k beside a row tied at the threshold:
+    # under `neg <= thr` the first would keep none and the second all 2k.
+    @example(H=np.array([[np.nan, 0.1, np.nan, -0.3, np.nan, np.nan],
+                         [0.5, -0.5, 0.5, -0.5, 0.5, -0.5]]), rank=2)
+    def test_matches_stable_argsort_reference(self, H, rank):
+        k = 1 + rank % H.shape[-1]
         assert np.array_equal(shrink_mask(H, k), reference_shrink_mask(H, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(activations, st.integers(0, 11))
+    def test_shrink_is_where_of_the_mask(self, H, rank):
+        k = 1 + rank % H.shape[-1]
+        ref = np.where(reference_shrink_mask(H, k), H, 0.0)
+        assert shrink(H, k).tobytes() == ref.tobytes()
 
     def test_nan_row_and_tied_row_in_one_batch(self):
         # Fewer numbers than k in one row and a k-way tie in the other: a

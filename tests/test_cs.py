@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssae.cs import (
+    Measurement,
     gaussian_sensing_matrix,
     lasso_recover_batch,
     measure,
@@ -48,6 +50,13 @@ class TestMeasure:
         assert m.payload.shape == (self.M + 1,)
         np.testing.assert_array_equal(m.payload[:-1], m.y)
         assert m.payload[-1] == means[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 30)),
+           st.one_of(st.floats(), st.sampled_from([0.0, -0.0])))
+    def test_payload_is_the_concatenation(self, y, mean):
+        payload = Measurement(y=y, frame_mean=mean).payload
+        assert payload.tobytes() == np.concatenate([y, [mean]]).tobytes()
 
     def test_frames_stack_to_the_batch(self, frames):
         phi, S, means = frames
@@ -262,6 +271,13 @@ class TestLassoRecoverBatchProperties:
     def test_empty_batch(self):
         phi = gaussian_sensing_matrix(12, 25)
         assert lasso_recover_batch(phi, np.zeros((0, 12))).shape == (0, 25)
+
+    @pytest.mark.parametrize("b", [0, 1, 4])
+    def test_empty_code(self, b):
+        S = lasso_recover_batch(np.zeros((3, 0)), np.ones((b, 3)))
+        assert S.shape == (b, 0) and S.dtype == np.float64
+        with pytest.raises(ValueError, match="lam of frame 0"):
+            lasso_recover_batch(np.zeros((3, 0)), np.ones((4, 3)), -1.0)
 
     def test_operating_point_converges(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,21 @@ class TestSphere:
         with pytest.raises(ValueError):
             sphere(np.array([1.0, np.inf]), 1.0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sphere(np.array([1.0, 2.0]), sigma)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sphere_rows(np.ones((2, 3)), sigma)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
+    def test_zero_width_frames_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"no sensors, got shape {shape}")):
+            sphere_rows(np.zeros(shape), 1.0)
+        if len(shape) == 1:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                sphere(np.zeros(shape), 1.0)
+
 
 class TestDesphere:
     def test_zero_code(self):
@@ -289,6 +305,9 @@ class TestDesphere:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             desphere_rows(np.zeros((1, 3)), [0.0], -2.0)
+        for sigma in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma must be positive"):
+                desphere_rows(np.zeros((1, 3)), [0.0], sigma)
 
 
 class TestSphereRows:
@@ -313,6 +332,22 @@ def frames_or_batches(max_abs=1e6):
 sigmas = st.floats(1e-3, 1e3)
 
 
+def reference_sphere_rows(X, sigma):
+    """Sphering written as its formula: the mean, then clip to [-1, 1]."""
+    means = X.mean(axis=-1)
+    return np.minimum(np.maximum((X - means[..., None]) / (3.0 * sigma), -1.0), 1.0), means
+
+
+def pinned_frames():
+    """Frames whose entries often sphere to -0.0 or past the clip: a grid of
+    signed zeros and values far apart, mixed with arbitrary floats."""
+    shapes = st.one_of(st.tuples(st.integers(1, 30)),
+                       st.tuples(st.integers(1, 8), st.integers(1, 30)))
+    grid = st.sampled_from([0.0, -0.0, 3.0, -3.0, 1e3, -1e3])
+    return shapes.flatmap(lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.one_of(grid, st.floats(-1e6, 1e6))))
+
+
 class TestSphereRowsProperties:
     @settings(max_examples=200, deadline=None)
     @given(frames_or_batches(), sigmas)
@@ -324,6 +359,15 @@ class TestSphereRowsProperties:
             assert same_bits(d, D[i]) and same_bits(mean, means[i])
             assert same_bits(f.d, D[i]) and same_bits(f.mean, means[i])
         assert np.all(np.abs(D) <= 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pinned_frames(), sigmas)
+    def test_matches_formula_bit_for_bit(self, X, sigma):
+        D, means = sphere_rows(X, sigma)
+        D_ref, means_ref = reference_sphere_rows(X, sigma)
+        assert D.shape == D_ref.shape and D.tobytes() == D_ref.tobytes()
+        assert np.shape(means) == np.shape(means_ref)
+        assert np.asarray(means).tobytes() == np.asarray(means_ref).tobytes()
 
     def test_sphere_rejects_a_batch(self):
         with pytest.raises(ValueError, match="1-D frame"):
