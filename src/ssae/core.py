@@ -16,9 +16,11 @@ for pruning.  Backpropagation treats the pruning mask and the rounding as
 fixed pieces of the forward pass: reconstruction error flows only into
 the surviving units, rounding passes gradients through unchanged.
 
-gradient() returns (cost, flat gradient) from a single forward pass, the
-gradient in SsaeParams.to_vector order, which is the objective contract
-of trainer.minimize; cost() is the value alone.
+gradient() returns (cost, grad) from a single forward pass, which is the
+objective contract of trainer.minimize: grad() runs the backward pass
+from the saved forward state on its first call and returns that flat
+array, in SsaeParams.to_vector order, on every later call, so a caller
+that never reads the slope never pays for it.  cost() is the value alone.
 
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
@@ -31,6 +33,7 @@ operand order of the formulas above, so its bits equal theirs.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +116,8 @@ def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
     Accepts a single frame (N,) or a batch (T, N); the hidden axis is last.
     """
     d = np.asarray(d, dtype=np.float64)
+    if d.ndim == 0:
+        raise ValueError("d must be a frame (N,) or a batch (T, N), got a 0-d value")
     if d.shape[-1] != params.n_visible:
         raise ValueError(
             f"frame length {d.shape[-1]} does not match n_visible {params.n_visible}"
@@ -137,6 +142,8 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     descending magnitude).
     """
     h = np.asarray(h, dtype=np.float64)
+    if h.ndim == 0:
+        raise ValueError("h must have a last axis of length L, got a 0-d value")
     L, k = h.shape[-1], _integer("k", k)
     if not 1 <= k <= L:
         raise ValueError(f"k must be in [1, {L}], got {k}")
@@ -196,6 +203,8 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
     """Output-layer reconstruction d_hat = tanh(W2 s + b2) from a sparse code."""
     s = np.asarray(s, dtype=np.float64)
+    if s.ndim == 0:
+        raise ValueError("s must be a code (L,) or a batch (T, L), got a 0-d value")
     if s.shape[-1] != params.n_hidden:
         raise ValueError(
             f"code length {s.shape[-1]} does not match n_hidden {params.n_hidden}"
@@ -262,19 +271,34 @@ def gradient(
     gamma: float,
     k: int,
     rounding_places: int | None = 3,
-) -> tuple[float, np.ndarray]:
-    """(cost, gradient) of the objective from one forward pass.
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """(cost, grad) of the objective from one forward pass.
 
-    The cost equals cost() exactly.  The gradient is backpropagated and
-    averaged over the batch, flat in SsaeParams.to_vector order.  The
-    pruning mask is frozen from the forward pass, so reconstruction error
-    reaches only the k surviving units of each frame; rounding is treated
-    as the identity.  The penalty term
-    d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
+    The cost equals cost() exactly.  grad() backpropagates from the saved
+    forward state on its first call and returns the same array on every
+    later call; it must cache, since the backward pass writes into the
+    saved H*H and 1 + H*H.  The gradient is averaged over the batch, flat
+    in SsaeParams.to_vector order.  The pruning mask is frozen from the
+    forward pass, so reconstruction error reaches only the k surviving
+    units of each frame; rounding is treated as the identity.  The penalty
+    term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
     through the first-layer tanh derivative.
     """
-    c, (D, H, HH, one_plus_HH, mask, S, D_hat, err) = _forward(
-        params, D, gamma, k, rounding_places)
+    c, state = _forward(params, D, gamma, k, rounding_places)
+    g = None
+
+    def grad() -> np.ndarray:
+        nonlocal g, state
+        if g is None:
+            g = _backward(params, gamma, *state)
+            state = None  # the forward arrays are not needed again
+        return g
+
+    return c, grad
+
+
+def _backward(params, gamma, D, H, HH, one_plus_HH, mask, S, D_hat, err):
+    """Backpropagate one forward pass; overwrites HH and one_plus_HH."""
     T = D.shape[0]
 
     delta2 = D_hat * D_hat                         # (T, N): err * (1 - D_hat^2)
@@ -294,4 +318,4 @@ def gradient(
     g_w1 = dh.T @ D / T                            # (L, N)
     g_b1 = dh.sum(axis=0) / T                      # (L,)
 
-    return c, _flatten(g_w1, g_b1, g_w2, g_b2)
+    return _flatten(g_w1, g_b1, g_w2, g_b2)

@@ -67,14 +67,20 @@ def gaussian_sensing_matrix(m: int, l: int, seed: int = 0) -> np.ndarray:
 
 
 def measure(phi: np.ndarray, s: np.ndarray, frame_mean: float) -> Measurement:
-    """Compress a sparse code: y = phi @ s, with the frame mean riding along."""
+    """Compress a sparse code: y = phi @ s, with the frame mean riding along.
+
+    The mean must be finite: the base station adds it back to every sensor.
+    """
     phi = np.asarray(phi, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if phi.ndim != 2 or s.ndim != 1 or phi.shape[1] != s.shape[0]:
         raise ValueError(
             f"matrix {phi.shape} and code {s.shape} are not compatible"
         )
-    return Measurement(y=phi @ s, frame_mean=float(frame_mean))
+    frame_mean = float(frame_mean)
+    if not math.isfinite(frame_mean):
+        raise ValueError(f"frame_mean must be finite, got {frame_mean}")
+    return Measurement(y=phi @ s, frame_mean=frame_mean)
 
 
 def _active_solve(G, active, rhs):

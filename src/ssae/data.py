@@ -290,11 +290,19 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
-    """Inverse of sphere_rows: x_hat = 3*sigma*d_hat + the row's mean, row by row."""
+    """Inverse of sphere_rows: x_hat = 3*sigma*d_hat + the row's mean, row by row.
+
+    means holds one mean per row, so its shape is D_hat's without the last axis.
+    """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
     D_hat = np.asarray(D_hat, dtype=np.float64)
-    return 3.0 * sigma * D_hat + np.asarray(means, dtype=np.float64)[..., None]
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape != D_hat.shape[:-1]:
+        raise ValueError(
+            f"means of shape {means.shape} do not match D_hat of shape {D_hat.shape}"
+        )
+    return 3.0 * sigma * D_hat + means[..., None]
 
 
 def dataset_std(X: np.ndarray) -> float:

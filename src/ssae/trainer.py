@@ -4,6 +4,13 @@ The training procedure: pool the dataset standard deviation, shuffle the
 rows, split them into contiguous folds, and for each fold minimize the
 autoencoder cost on the sphered training rows while scoring the held-out
 rows through the complete encode/decode round trip in raw sensor units.
+
+The objective contract of minimize: objective(x) returns (cost, grad),
+where grad() gives the gradient at x.  minimize checks every cost but
+calls grad() only where its strong Wolfe line search reads the slope, so
+core.gradient, which runs its backward pass inside grad(), skips it at
+every trial whose slope is not read, such as one that fails sufficient
+decrease.
 """
 
 from __future__ import annotations
@@ -60,27 +67,56 @@ def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams
 
 @dataclass
 class MinimizeResult:
-    """Outcome of an L-BFGS run: best point seen plus the cost trace."""
+    """Outcome of an L-BFGS run: best point seen plus the cost trace.
+
+    evaluations counts objective calls and gradients the grad() calls
+    among them; a line-search trial whose slope is never read costs an
+    evaluation but no gradient.
+    """
 
     x: np.ndarray
     curve: list[tuple[int, float]]
     converged: bool
     message: str
+    evaluations: int = 0
+    gradients: int = 0
 
 
-def _checked_eval(objective, x, iteration):
-    f, g = objective(x)
-    f = float(f)
-    g = np.asarray(g, dtype=np.float64)
-    if not math.isfinite(f) or not np.isfinite(g).all():
-        raise FloatingPointError(
-            f"non-finite cost or gradient at iteration {iteration}"
-        )
-    if g.shape != x.shape:
-        raise ValueError(
-            f"gradient shape {g.shape} does not match parameter shape {x.shape}"
-        )
-    return f, g
+class _Checked:
+    """The objective with its calls counted and its outputs checked.
+
+    A call returns (f, grad) with f checked; grad() calls the objective's
+    grad at most once, then checks and keeps its array.
+    """
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.evaluations = 0
+        self.gradients = 0
+
+    def __call__(self, x, iteration):
+        f, grad = self.objective(x)
+        self.evaluations += 1
+        f = float(f)
+        if not math.isfinite(f):
+            raise FloatingPointError(f"non-finite cost at iteration {iteration}")
+        g = None
+
+        def checked_grad():
+            nonlocal g
+            if g is None:
+                g = np.asarray(grad(), dtype=np.float64)
+                self.gradients += 1
+                if not np.isfinite(g).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient at iteration {iteration}")
+                if g.shape != x.shape:
+                    raise ValueError(
+                        f"gradient shape {g.shape} does not match parameter shape {x.shape}"
+                    )
+            return g
+
+        return f, checked_grad
 
 
 def _two_loop(g, s_hist, y_hist, rho_hist):
@@ -99,7 +135,7 @@ def _two_loop(g, s_hist, y_hist, rho_hist):
     return q
 
 
-def _zoom(objective, x, d, f0, dphi0, iteration,
+def _zoom(evaluate, x, d, f0, dphi0, iteration,
           a_lo, f_lo, dphi_lo, a_hi, f_hi, max_iter=30):
     """Narrow a bracketing interval until the strong Wolfe conditions hold.
 
@@ -118,42 +154,44 @@ def _zoom(objective, x, d, f0, dphi0, iteration,
         margin = 0.1 * abs(span)
         if not (lo + margin <= a <= hi - margin):
             a = a_lo + 0.5 * span
-        f_a, g_a = _checked_eval(objective, x + a * d, iteration)
-        dphi_a = g_a @ d
+        f_a, grad_a = evaluate(x + a * d, iteration)
         if f_a <= f0 + WOLFE_C1 * a * dphi0 and (
             armijo_best is None or f_a < armijo_best[1]
         ):
-            armijo_best = (a, f_a, g_a)
+            armijo_best = (a, f_a, grad_a)
         if f_a > f0 + WOLFE_C1 * a * dphi0 or f_a >= f_lo:
             a_hi, f_hi = a, f_a
         else:
+            dphi_a = grad_a() @ d
             if abs(dphi_a) <= -WOLFE_C2 * dphi0:
-                return a, f_a, g_a
+                return a, f_a, grad_a
             if dphi_a * (a_hi - a_lo) >= 0:
                 a_hi, f_hi = a_lo, f_lo
             a_lo, f_lo, dphi_lo = a, f_a, dphi_a
+        del grad_a  # an unread grad holds its forward pass; free it first
         if abs(a_hi - a_lo) < 1e-16 * max(1.0, abs(a_lo)):
             break
     return armijo_best
 
 
-def _line_search(objective, x, f0, g0, d, iteration, max_expand=20):
-    """Strong Wolfe search along d; returns (alpha, f, g) or None."""
+def _line_search(evaluate, x, f0, g0, d, iteration, max_expand=20):
+    """Strong Wolfe search along d; returns (alpha, f, grad) or None."""
     dphi0 = g0 @ d
     if dphi0 >= 0:
         return None
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = 1.0
     for i in range(1, max_expand + 1):
-        f_a, g_a = _checked_eval(objective, x + a * d, iteration)
-        dphi_a = g_a @ d
+        f_a, grad_a = evaluate(x + a * d, iteration)
         if f_a > f0 + WOLFE_C1 * a * dphi0 or (i > 1 and f_a >= f_prev):
-            return _zoom(objective, x, d, f0, dphi0, iteration,
+            del grad_a  # an unread grad holds its forward pass; free it first
+            return _zoom(evaluate, x, d, f0, dphi0, iteration,
                          a_prev, f_prev, dphi_prev, a, f_a)
+        dphi_a = grad_a() @ d
         if abs(dphi_a) <= -WOLFE_C2 * dphi0:
-            return a, f_a, g_a
+            return a, f_a, grad_a
         if dphi_a >= 0:
-            return _zoom(objective, x, d, f0, dphi0, iteration,
+            return _zoom(evaluate, x, d, f0, dphi0, iteration,
                          a, f_a, dphi_a, a_prev, f_prev)
         a_prev, f_prev, dphi_prev = a, f_a, dphi_a
         a *= 2.0
@@ -168,15 +206,25 @@ def minimize(
 ) -> MinimizeResult:
     """L-BFGS with two-loop recursion and a strong Wolfe line search.
 
-    objective(x) must return (cost, gradient).  Stops at max_iterations or
-    when the relative cost decrease falls below convergence_tol; a failed
-    line search returns the best point seen so far with a warning message.
-    Raises FloatingPointError if the objective ever goes non-finite.
+    objective(x) must return (cost, grad), grad a callable taking no
+    arguments that returns the gradient at x, as core.gradient does.
+    Every cost is checked.  grad() is called at most once per evaluation,
+    and only at x0, at a line-search trial whose slope the search reads
+    (it passes sufficient decrease and lies below the bracket's low end)
+    and at the point the search returns.  MinimizeResult.evaluations and
+    .gradients count objective and grad() calls.
+
+    Stops at max_iterations or when the relative cost decrease falls below
+    convergence_tol; a failed line search returns the best point seen so
+    far with a warning message.  Raises FloatingPointError if a cost or a
+    read gradient is ever non-finite.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    evaluate = _Checked(objective)
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = _checked_eval(objective, x, 0)
+    f, grad = evaluate(x, 0)
+    g = grad()
     curve = [(0, f)]
     best_f, best_x = f, x.copy()
     s_hist: list[np.ndarray] = []
@@ -193,7 +241,7 @@ def minimize(
         d = -_two_loop(g, s_hist, y_hist, rho_hist)
         if d @ g >= 0:
             d = -g  # curvature history unusable, fall back to steepest descent
-        step = _line_search(objective, x, f, g, d, it)
+        step = _line_search(evaluate, x, f, g, d, it)
         if step is None and s_hist:
             # Stale curvature pairs can poison the direction; drop them and
             # retry once from steepest descent before giving up.
@@ -201,11 +249,12 @@ def minimize(
             y_hist.clear()
             rho_hist.clear()
             d = -g
-            step = _line_search(objective, x, f, g, d, it)
+            step = _line_search(evaluate, x, f, g, d, it)
         if step is None:
             message = f"line search failed at iteration {it}"
             break
-        a, f_new, g_new = step
+        a, f_new, grad_new = step
+        g_new = grad_new()
         x_new = x + a * d
         s_vec = x_new - x
         y_vec = g_new - g
@@ -228,7 +277,8 @@ def minimize(
             message = f"converged at iteration {it}"
             break
 
-    return MinimizeResult(x=best_x, curve=curve, converged=converged, message=message)
+    return MinimizeResult(x=best_x, curve=curve, converged=converged, message=message,
+                          evaluations=evaluate.evaluations, gradients=evaluate.gradients)
 
 
 @dataclass

@@ -161,6 +161,8 @@ class TestHiddenActivation:
         p = zero_params(3, 5)
         with pytest.raises(ValueError):
             hidden_activation(p, np.zeros(4))
+        with pytest.raises(ValueError, match="d must be a frame"):
+            hidden_activation(p, np.float64(1.0))
 
 
 class TestShrink:
@@ -224,6 +226,11 @@ class TestShrink:
             shrink(np.zeros(3), 0)
         with pytest.raises(ValueError):
             shrink(np.zeros(3), 4)
+
+    def test_zero_dim_input_rejected(self):
+        for fn in (shrink, shrink_mask):
+            with pytest.raises(ValueError, match="h must have a last axis"):
+                fn(np.float64(1.0), 1)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
     def test_non_integer_k_rejected(self, k):
@@ -380,6 +387,8 @@ class TestReconstruct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             reconstruct(zero_params(3, 5), np.zeros(4))
+        with pytest.raises(ValueError, match="s must be a code"):
+            reconstruct(zero_params(3, 5), np.float64(1.0))
 
 
 class TestCost:
@@ -470,7 +479,8 @@ class TestGradient:
     @given(evaluation_cases, st.sampled_from([3, None]))
     def test_equals_unfused_reference(self, case, places):
         p, D, gamma, k = draw_case(case)
-        c, g = gradient(p, D, gamma, k, rounding_places=places)
+        c, grad = gradient(p, D, gamma, k, rounding_places=places)
+        g = grad()
         c_ref, g_ref = reference_cost_and_gradient(p, D, gamma, k, places)
         assert c == c_ref
         assert np.array_equal(g, g_ref)
@@ -479,13 +489,13 @@ class TestGradient:
     @given(evaluation_cases)
     def test_matches_central_differences(self, case):
         p, D, gamma, k = draw_case(case)
-        _, g = gradient(p, D, gamma, k, rounding_places=None)
+        g = gradient(p, D, gamma, k, rounding_places=None)[1]()
         fd = central_differences(frozen_cost_fn(p, D, gamma, k), p.to_vector())
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_zero_data_zero_params(self):
         p = zero_params(3, 4)
-        _, g = gradient(p, np.zeros((5, 3)), gamma=0.3, k=2)
+        g = gradient(p, np.zeros((5, 3)), gamma=0.3, k=2)[1]()
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences_full_mask(self):
@@ -494,7 +504,7 @@ class TestGradient:
             N, L, T = rng.integers(1, 8), rng.integers(1, 8), rng.integers(1, 6)
             p = random_params(rng, int(N), int(L), scale=0.3)
             D = rng.uniform(-0.9, 0.9, (int(T), int(N)))
-            _, g = gradient(p, D, gamma=0.1, k=int(L), rounding_places=None)
+            g = gradient(p, D, gamma=0.1, k=int(L), rounding_places=None)[1]()
             fd = central_differences(frozen_cost_fn(p, D, 0.1, int(L)), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
@@ -506,15 +516,24 @@ class TestGradient:
             k = int(rng.integers(1, L))
             p = random_params(rng, N, L, scale=0.4)
             D = rng.uniform(-0.9, 0.9, (T, N))
-            _, g = gradient(p, D, gamma=0.2, k=k, rounding_places=None)
+            g = gradient(p, D, gamma=0.2, k=k, rounding_places=None)[1]()
             fd = central_differences(frozen_cost_fn(p, D, 0.2, k), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
 
+    def test_grad_caches_its_array(self):
+        rng = np.random.default_rng(21)
+        p = random_params(rng, 5, 6)
+        D = rng.uniform(-1, 1, (8, 5))
+        _, grad = gradient(p, D, gamma=0.2, k=3)
+        first = grad()
+        assert np.array_equal(grad(), first)
+        assert np.array_equal(first, reference_cost_and_gradient(p, D, 0.2, 3, 3)[1])
+
     def test_shapes_match_params(self):
         rng = np.random.default_rng(18)
         p = random_params(rng, 4, 7)
-        _, g = gradient(p, rng.uniform(-1, 1, (3, 4)), 0.1, 3)
+        g = gradient(p, rng.uniform(-1, 1, (3, 4)), 0.1, 3)[1]()
         assert g.shape == p.to_vector().shape
 
     @pytest.mark.parametrize("places", [3, None])

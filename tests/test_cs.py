@@ -63,6 +63,12 @@ class TestMeasure:
         Y = np.array([measure(phi, s, mu).y for s, mu in zip(S, means)])
         np.testing.assert_allclose(Y, S @ phi.T, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_mean_rejected(self, frames, mean):
+        phi, S, _ = frames
+        with pytest.raises(ValueError, match="frame_mean must be finite"):
+            measure(phi, S[0], mean)
+
     def test_mismatched_shapes_rejected(self, frames):
         phi, S, _ = frames
         for bad_phi, bad_s in ((phi, S[0][:-1]), (phi, S), (phi[0], S[0]), (phi.T, S[0])):

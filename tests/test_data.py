@@ -309,6 +309,20 @@ class TestDesphere:
             with pytest.raises(ValueError, match="sigma must be positive"):
                 desphere_rows(np.zeros((1, 3)), [0.0], sigma)
 
+    @pytest.mark.parametrize("shape, means", [
+        ((1, 3), [1.0, 2.0, 3.0, 4.0, 5.0]),  # broadcast to five frames before
+        ((2, 3), 1.0),
+        ((3,), [1.0]),
+        ((2, 3), [[1.0], [2.0]]),
+    ])
+    def test_means_must_match_rows(self, shape, means):
+        with pytest.raises(ValueError, match=re.escape(
+                f"means of shape {np.shape(means)} do not match D_hat of shape {shape}")):
+            desphere_rows(np.zeros(shape), means, 1.0)
+
+    def test_single_frame_takes_a_scalar_mean(self):
+        np.testing.assert_array_equal(desphere_rows(np.zeros(2), 7.0, 2.0), [7.0, 7.0])
+
 
 class TestSphereRows:
     def test_matches_per_frame_sphere(self):

@@ -58,7 +58,7 @@ class TestMinimize:
         target = np.array([1.0, -2.0, 0.5, 3.0])
 
         def objective(x):
-            return 0.5 * np.sum((x - target) ** 2), x - target
+            return 0.5 * np.sum((x - target) ** 2), lambda: x - target
 
         res = minimize(objective, np.zeros(4), max_iterations=50,
                        convergence_tol=1e-14)
@@ -67,7 +67,7 @@ class TestMinimize:
 
     def test_stationary_start(self):
         def objective(x):
-            return 1.0, np.zeros_like(x)
+            return 1.0, lambda: np.zeros_like(x)
 
         res = minimize(objective, np.array([2.0, 3.0]), max_iterations=10)
         np.testing.assert_array_equal(res.x, [2.0, 3.0])
@@ -78,13 +78,55 @@ class TestMinimize:
         def objective(v):
             x, y = v
             f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-            g = np.array([-2 * (1 - x) - 400 * x * (y - x * x),
-                          200 * (y - x * x)])
-            return f, g
+            return f, lambda: np.array([-2 * (1 - x) - 400 * x * (y - x * x),
+                                        200 * (y - x * x)])
 
         res = minimize(objective, np.array([-1.2, 1.0]), max_iterations=300,
                        convergence_tol=1e-16)
         assert np.abs(res.x - 1.0).max() < 1e-5
+
+    def test_counts_match_a_counting_wrapper(self):
+        evaluations = gradients = 0
+
+        def objective(v):
+            nonlocal evaluations
+            evaluations += 1
+            x, y = v
+            read = False
+
+            def grad():
+                nonlocal gradients, read
+                gradients += not read
+                read = True
+                return np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+            return (1 - x) ** 2 + 100 * (y - x * x) ** 2, grad
+
+        res = minimize(objective, np.array([-1.2, 1.0]), max_iterations=300,
+                       convergence_tol=1e-16)
+        assert (res.evaluations, res.gradients) == (evaluations, gradients)
+        assert 0 < res.gradients < res.evaluations
+
+    def test_overshooting_trial_never_reads_its_gradient(self):
+        # From x0 = 1 the first trial, alpha = 1 along -f'(1) = -100, lands
+        # on x = -99, far above f(x0): sufficient decrease fails there.
+        trials = []
+
+        def objective(x):
+            entry = [float(x[0]), False]
+            trials.append(entry)
+
+            def grad():
+                entry[1] = True
+                return 100.0 * x
+
+            return 50.0 * float(x[0]) ** 2, grad
+
+        res = minimize(objective, np.array([1.0]), max_iterations=10)
+        assert trials[0] == [1.0, True]
+        assert trials[1] == [-99.0, False]
+        assert res.gradients == sum(read for _, read in trials) < res.evaluations
+        assert np.abs(res.x).max() < 1e-12
 
     def test_trace_monotone_non_increasing(self):
         rng = np.random.default_rng(0)
@@ -93,7 +135,7 @@ class TestMinimize:
         b = rng.normal(size=6)
 
         def objective(x):
-            return 0.5 * x @ A @ x - b @ x, A @ x - b
+            return 0.5 * x @ A @ x - b @ x, lambda: A @ x - b
 
         res = minimize(objective, rng.normal(size=6), max_iterations=100)
         costs = [c for _, c in res.curve]
@@ -101,9 +143,16 @@ class TestMinimize:
 
     def test_non_finite_objective_raises_with_iteration(self):
         def objective(x):
-            return float("nan"), np.zeros_like(x)
+            return float("nan"), lambda: np.zeros_like(x)
 
         with pytest.raises(FloatingPointError, match="iteration 0"):
+            minimize(objective, np.zeros(2), max_iterations=5)
+
+    def test_non_finite_gradient_raises_when_read(self):
+        def objective(x):
+            return 1.0, lambda: np.full_like(x, np.nan)
+
+        with pytest.raises(FloatingPointError, match="non-finite gradient at iteration 0"):
             minimize(objective, np.zeros(2), max_iterations=5)
 
 
