@@ -5,12 +5,18 @@ instant, one column per sensor.  sphere_rows is the one sphering path: it
 maps each frame on the last axis, (N,) or (B, N), into [-1, 1] by removing
 its own mean and scaling by three dataset standard deviations; sphere is
 its B=1 case and desphere_rows the affine inverse.
+
+Memory: load_csv parses a clean log as a stream of lines, so its peak
+beyond the (T, N) array it returns is a few lines and the array's growth
+slack; it never holds the whole file, its text or a list of its lines.
+Only input that np.loadtxt rejects is read whole, by the cell parser.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,41 +79,76 @@ def _is_header(row: list[str]) -> bool:
 
 
 def load_csv(source) -> np.ndarray:
-    """Read a (T, N) dataset from a path, file object, or text.
+    """Read a (T, N) dataset from a path, or a text or bytes file object.
 
     Accepts an optional header row (a first row whose fields are all
     non-numeric).  Raises CsvFormatError naming the offending row/column
-    for ragged rows, non-numeric cells, and empty files.
+    for ragged rows, non-numeric cells, and empty files, and the line of
+    the first byte that is not UTF-8.
 
-    Clean numeric text is parsed by np.loadtxt; anything it rejects, or
-    any non-finite value, goes through a cell-by-cell parser that finds
-    the first offending row and column, so every text gives the same
-    array or the same error either way.
+    The source is read from its current position as one stream of
+    "\\n"-separated lines, bytes decoded as UTF-8, and clean numeric
+    lines go to np.loadtxt as they are read.  If it rejects them, or reads
+    a non-finite value, the source is read again, whole, by a cell-by-cell
+    parser that finds the first offending row and column, so every input
+    gives the same array or the same error either way.  A stream that
+    cannot seek is read whole first.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
-    else:
+    if not hasattr(source, "read"):
         with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    X = _load_numeric(text)
-    return X if X is not None else _load_rows(text)
+            return load_csv(fh)
+    if not (hasattr(source, "seekable") and source.seekable()):
+        raw = source.read()
+        source = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else io.StringIO(raw)
+    start = source.tell()
+    X = _load_numeric(_text_lines(source))
+    if X is None:
+        source.seek(start)
+        X = _load_rows(_decoded(source.read()))
+    return X
 
 
-def _load_numeric(text: str) -> np.ndarray | None:
-    """np.loadtxt parse of text that is all finite numbers; None otherwise."""
-    lines = text.split("\n")  # the line breaks of csv.reader on io.StringIO
+def _text_lines(stream):
+    """The lines of a text or bytes stream as str."""
+    lines = iter(stream)
+    first = next(lines, "")
+    lines = itertools.chain((first,), lines)
+    return lines if isinstance(first, str) else map(bytes.decode, lines)  # strict UTF-8
+
+
+def _decoded(raw) -> str:
+    """raw as text; CsvFormatError naming the line of its first byte that is not UTF-8."""
+    if isinstance(raw, str):
+        return raw
     try:
-        reader = csv.reader(lines)
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"line {line}: not UTF-8: byte {raw[exc.start]:#04x}") from None
+
+
+def _load_numeric(lines) -> np.ndarray | None:
+    """np.loadtxt parse of str lines that are all finite numbers; None otherwise.
+
+    lines is read once: csv.reader finds the first row, whose lines are
+    kept in seen, and np.loadtxt parses the rest as they come.
+    """
+    lines, seen = iter(lines), []
+    try:
+        reader = csv.reader(seen.append(line) or line for line in lines)
         first = next((row for row in reader if row), None)
         if first is None:
             return None
         if _is_header(first):
-            lines = lines[reader.line_num:]
-            if not any(line.strip() for line in lines):
+            seen.clear()
+            for line in lines:
+                seen.append(line)
+                if line.strip():
+                    break
+            else:
                 return None  # np.loadtxt would warn that it found no data
-        X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, csv.Error):
+        X = np.loadtxt(itertools.chain(seen, lines), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
     return X if X.size and np.isfinite(X).all() else None
 

@@ -39,6 +39,9 @@ HISTORY_SIZE = 10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 
+# Most rows evaluate_rmse scores at once.
+SCORE_BLOCK_ROWS = 4096
+
 
 def gamma_for_eta(eta: float) -> float:
     """Sparsity-penalty schedule: gamma = 0.26 - 0.26 * eta.
@@ -436,6 +439,12 @@ def evaluate_rmse(
 
     sphere -> hidden -> shrink -> round -> reconstruct -> desphere, then
     sqrt(mean((x_hat - x)^2)) over every entry of the test matrix.
+
+    Memory: the round trip runs over blocks of at most SCORE_BLOCK_ROWS
+    rows into one (T, N) x_hat, and the error is squared in place there,
+    so beyond x_hat the peak is a few blocks' layers whatever T is.  The
+    value is bit for bit the unblocked formula's: no block has one row
+    unless T = 1, since a 1-row matmul takes BLAS's matrix-vector path.
     """
     X_test = np.asarray(X_test, dtype=np.float64)
     if X_test.ndim == 1:
@@ -444,9 +453,19 @@ def evaluate_rmse(
         raise ValueError(
             f"test matrix has {X_test.shape[1]} columns, model expects {params.n_visible}"
         )
-    D, means = data.sphere_rows(X_test, sigma)
-    H = core.hidden_activation(params, D)
-    S = core.round_code(core.shrink(H, k), rounding_places)
-    D_hat = core.reconstruct(params, S)
-    X_hat = data.desphere_rows(D_hat, means, sigma)
-    return float(np.sqrt(np.mean((X_hat - X_test) ** 2)))
+    if not X_test.shape[0]:
+        raise ValueError(f"empty test matrix of shape {X_test.shape}")
+    X_hat = np.empty(X_test.shape)
+    n_blocks = -(-X_test.shape[0] // SCORE_BLOCK_ROWS)
+    for X, out in zip(np.array_split(X_test, n_blocks), np.array_split(X_hat, n_blocks)):
+        out[...] = _round_trip(params, sigma, X, k, rounding_places)
+    X_hat -= X_test
+    np.square(X_hat, out=X_hat)
+    return float(np.sqrt(np.mean(X_hat)))
+
+
+def _round_trip(params, sigma, X, k, rounding_places) -> np.ndarray:
+    """x_hat of frames X; its layers are freed when it returns."""
+    D, means = data.sphere_rows(X, sigma)
+    S = core.round_code(core.shrink(core.hidden_activation(params, D), k), rounding_places)
+    return data.desphere_rows(core.reconstruct(params, S), means, sigma)

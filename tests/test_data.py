@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,51 @@ class TestLoadCsv:
         X = load_csv(io.BytesIO(b"1,2\n"))
         np.testing.assert_array_equal(X, [[1.0, 2.0]])
 
+    def test_text_is_not_a_source(self):
+        with pytest.raises(FileNotFoundError):
+            load_csv("1,2\n3,4\n")
+
+    def test_not_utf8_names_line_in_bytes_stream(self):
+        with pytest.raises(CsvFormatError, match="line 1: not UTF-8"):
+            load_csv(io.BytesIO(b"\xff\xfe1,2\n"))
+
+    def test_not_utf8_names_line_in_path(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes("s1,s\u00e9\n1,2\n".encode("utf-8") + b"3,\xe94\n")
+        with pytest.raises(CsvFormatError, match="line 3: not UTF-8: byte 0xe9"):
+            load_csv(path)
+
+    def test_stream_read_from_its_position(self):
+        # The cell parser re-reads from where the stream stood, not from 0.
+        buf = io.BytesIO(b"preamble\n1,2\n3,x\n")
+        buf.readline()
+        with pytest.raises(CsvFormatError, match="row 2, column 2"):
+            load_csv(buf)
+
+    def test_unseekable_stream(self):
+        class Pipe:
+            def __init__(self, raw):
+                self.read = lambda: raw
+
+        np.testing.assert_array_equal(load_csv(Pipe(b"a,b\n1,2\n")), [[1.0, 2.0]])
+        with pytest.raises(CsvFormatError, match="row 2, column 1"):
+            load_csv(Pipe("1,2\nx,4\n"))
+
+    def test_traced_peak_near_output_size(self, tmp_path):
+        # The lines are parsed as they are read: neither the whole text nor
+        # a list of its lines is ever held.
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+        path = tmp_path / "log.csv"
+        write_csv(X, path, header=[f"s{j}" for j in range(23)])
+        tracemalloc.start()
+        try:
+            out = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(out, X)
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
 
 def parse_outcome(parse, text):
     """The array a parser returns, or the type and message of what it raised."""
@@ -113,11 +159,21 @@ class TestLoadCsvFastPath:
         slow = parse_outcome(data._load_rows, text)
         assert same_outcome(fast, slow), (fast, slow)
 
+    @settings(max_examples=200, deadline=None)
+    @given(csv_texts())
+    def test_path_bytes_and_text_streams_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_bytes(text.encode("utf-8"))
+        by_path = parse_outcome(load_csv, path)
+        for stream in (io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
+            other = parse_outcome(load_csv, stream)
+            assert same_outcome(by_path, other), (by_path, other)
+
     def test_log_with_header_takes_the_fast_path(self):
         X = generate_synthetic(23, 200, noise=NoiseSpec(variance=0.01, seed=3))
         sink = io.StringIO()
         write_csv(X, sink, header=[f"s{j}" for j in range(23)])
-        fast = data._load_numeric(sink.getvalue())
+        fast = data._load_numeric(io.StringIO(sink.getvalue()))
         assert fast is not None and same_outcome(fast, X)
 
 

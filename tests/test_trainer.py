@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ssae import core, data
+from ssae import core, data, trainer
 from ssae.data import NoiseSpec, generate_synthetic
 from ssae.trainer import (
     TrainingConfig,
@@ -278,6 +279,48 @@ class TestEvaluateRmse:
         with pytest.raises(ValueError):
             evaluate_rmse(p, 1.0, np.zeros((5, 2)), k=2)
 
+    def test_empty_test_matrix_rejected(self):
+        p = init_params(23, 25, seed=0)
+        with pytest.raises(ValueError, match=r"empty test matrix of shape \(0, 23\)"):
+            evaluate_rmse(p, 1.0, np.empty((0, 23)), 5)
+
+    @pytest.mark.parametrize("T", [1, 2, 4095, 4096, 4097, 16_000])
+    def test_blocks_equal_the_unblocked_formula(self, scoring_case, T):
+        p, sigma, X = scoring_case
+        assert evaluate_rmse(p, sigma, X[:T], 5) == unblocked_rmse(p, sigma, X[:T], 5)
+
+    @pytest.mark.parametrize("T", [2, 4097, 8193, 12_289])
+    def test_blocks_of_two_to_4096_rows(self, scoring_case, monkeypatch, T):
+        # A 1-row block would go through BLAS's matrix-vector path, whose
+        # bits differ from the matrix product's; the RMSE rarely shows it.
+        p, sigma, X = scoring_case
+        sizes = []
+        round_trip = trainer._round_trip
+
+        def spy(params, sigma, X, *args):
+            sizes.append(len(X))
+            return round_trip(params, sigma, X, *args)
+
+        monkeypatch.setattr(trainer, "_round_trip", spy)
+        evaluate_rmse(p, sigma, X[:T], 5)
+        assert sum(sizes) == T and 2 <= min(sizes) and max(sizes) <= 4096, sizes
+
+    def test_traced_peak_does_not_grow_with_rows(self, scoring_case):
+        # Beyond the (T, N) x_hat only a block's layers are alive; the
+        # slack covers the list of block views.
+        p, sigma, X = scoring_case
+
+        def peak_above_output(X_test):
+            tracemalloc.start()
+            try:
+                evaluate_rmse(p, sigma, X_test, 5)
+                return tracemalloc.get_traced_memory()[1] - X_test.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_above_output(X[:4000].copy()), peak_above_output(X.copy())
+        assert large <= small + 4096, (small, large)
+
     def test_regression_pin(self):
         # Each stage is pinned in pipeline order, so the first failing
         # assertion names the first stage that drifted.
@@ -309,6 +352,25 @@ class TestEvaluateRmse:
             err_msg="evaluation stage: fold RMSEs drifted")
         np.testing.assert_allclose(report.mean_rmse, REGRESSION_PIN_MEAN_RMSE,
                                    rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def scoring_case():
+    """A model whose shrink bites, its sigma and 16 000 frames to score."""
+    X = generate_synthetic(23, 16_000, noise=NoiseSpec(variance=0.01, seed=5))
+    p = init_params(23, 25, seed=1)
+    p = core.SsaeParams(w1=3.0 * p.w1, b1=p.b1 + 0.1, w2=2.0 * p.w2, b2=p.b2)
+    return p, data.dataset_std(X), X
+
+
+def unblocked_rmse(params, sigma, X_test, k, rounding_places=3):
+    """evaluate_rmse as one pass over every row at once, its earlier form."""
+    D, means = data.sphere_rows(X_test, sigma)
+    H = core.hidden_activation(params, D)
+    S = core.round_code(core.shrink(H, k), rounding_places)
+    D_hat = core.reconstruct(params, S)
+    X_hat = data.desphere_rows(D_hat, means, sigma)
+    return float(np.sqrt(np.mean((X_hat - X_test) ** 2)))
 
 
 # Provenance: frozen on Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
