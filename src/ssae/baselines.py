@@ -111,6 +111,10 @@ class PcaSparsifier(Sparsifier):
         T, N = X.shape
         if T < N:
             raise ValueError(f"PCA needs at least N={N} rows, got {T}")
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            t, n = bad[0]
+            raise ValueError(f"training frame {t}, sensor {n} is not finite: {X[t, n]}")
         mean = X.mean(axis=0)
         centered = X - mean
         cov = centered.T @ centered / T

@@ -115,13 +115,14 @@ def lasso_recover_batch(
     (zero code) to lam, one active-set join or drop per step, retires there
     and meets KKT to rounding, whatever else is in its batch.  Frames still
     moving after max_iter steps (default 8 * L) are named in a RuntimeWarning
-    and get the exact code at the penalty reached.  Non-finite Y or lam
-    raise a ValueError naming the frame.  B=1: lasso_recover_batch(phi, y[None])[0].
+    and get the exact code at the penalty reached.  A non-finite entry of
+    phi raises a ValueError naming its row and column, and non-finite Y or
+    lam one naming the frame.  B=1: lasso_recover_batch(phi, y[None])[0].
 
     State is kept for live frames only.  Each holds its active set in up to
     min(M, L) slots and the inverse of G_AA over them, updated by bordering
     per join or drop; the code returned is one fresh solve of G_AA at each
-    frame's final support and penalty.  Any phi is accepted, M > L too; the
+    frame's final support and penalty.  Any finite phi is accepted, M > L too; the
     later column of a twin pair (phi_j = +-phi_i) never joins, as its
     correlation ties the earlier one's.
     """
@@ -131,6 +132,10 @@ def lasso_recover_batch(
         raise ValueError(
             f"matrix {phi.shape} and measurements {Y.shape} are not compatible"
         )
+    bad = np.argwhere(~np.isfinite(phi))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix row {i}, column {j} is not finite: {phi[i, j]}")
     bad = ~np.isfinite(Y).all(axis=1)
     if bad.any():
         raise ValueError(f"measurements of frame {int(np.argmax(bad))} are not finite")

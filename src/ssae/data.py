@@ -64,9 +64,14 @@ class SpheredFrame:
     mean: float
 
 
+def _number(cell: str) -> float:
+    """A cell's value as np.loadtxt reads it; float alone keeps \\x1c-\\x1f around it."""
+    return float(cell.strip())
+
+
 def _is_number(cell: str) -> bool:
     try:
-        float(cell)
+        _number(cell)
     except ValueError:
         return False
     return True
@@ -176,7 +181,7 @@ def _load_rows(text: str) -> np.ndarray:
             )
         for j, cell in enumerate(row):
             try:
-                value = float(cell)
+                value = _number(cell)
             except ValueError:
                 raise CsvFormatError(
                     f"row {lineno}, column {j + 1}: not a number: {cell!r}"

@@ -38,6 +38,8 @@ __all__ = [
 HISTORY_SIZE = 10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+MAX_EXPAND = 20  # step doublings before the line search gives up
+MAX_ZOOM = 30  # zoom trials before it settles for the best sufficient decrease
 
 # Most rows evaluate_rmse scores at once.
 SCORE_BLOCK_ROWS = 4096
@@ -81,65 +83,30 @@ class MinimizeResult:
     curve: list[tuple[int, float]]
     converged: bool
     message: str
-    evaluations: int = 0
-    gradients: int = 0
+    evaluations: int
+    gradients: int
 
 
-class _Checked:
-    """The objective with its calls counted and its outputs checked.
-
-    A call returns (f, grad) with f checked; grad() calls the objective's
-    grad at most once, then checks and keeps its array.
-    """
-
-    def __init__(self, objective):
-        self.objective = objective
-        self.evaluations = 0
-        self.gradients = 0
-
-    def __call__(self, x, iteration):
-        f, grad = self.objective(x)
-        self.evaluations += 1
-        f = float(f)
-        if not math.isfinite(f):
-            raise FloatingPointError(f"non-finite cost at iteration {iteration}")
-        g = None
-
-        def checked_grad():
-            nonlocal g
-            if g is None:
-                g = np.asarray(grad(), dtype=np.float64)
-                self.gradients += 1
-                if not np.isfinite(g).all():
-                    raise FloatingPointError(
-                        f"non-finite gradient at iteration {iteration}")
-                if g.shape != x.shape:
-                    raise ValueError(
-                        f"gradient shape {g.shape} does not match parameter shape {x.shape}"
-                    )
-            return g
-
-        return f, checked_grad
-
-
-def _two_loop(g, s_hist, y_hist, rho_hist):
+def _two_loop(g, history):
+    """H g, for H the inverse-Hessian estimate of the (s, y, 1/s.y) history."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho in reversed(history):
         a = rho * (s @ q)
         alphas.append(a)
         q -= a * y
-    if y_hist:
+    if history:
         # Scale the seed Hessian by the most recent curvature.
-        q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        s, y, _ = history[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * (y @ q)
         q += (a - b) * s
     return q
 
 
 def _zoom(evaluate, x, d, f0, dphi0, iteration,
-          a_lo, f_lo, dphi_lo, a_hi, f_hi, max_iter=30):
+          a_lo, f_lo, dphi_lo, a_hi, f_hi):
     """Narrow a bracketing interval until the strong Wolfe conditions hold.
 
     If the interval collapses before the curvature condition is met (the
@@ -147,7 +114,7 @@ def _zoom(evaluate, x, d, f0, dphi0, iteration,
     sufficient-decrease point instead of failing outright.
     """
     armijo_best = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ZOOM):
         span = a_hi - a_lo
         # Quadratic interpolation from the low end's value and slope;
         # fall back to bisection when it lands outside the safe interior.
@@ -177,14 +144,14 @@ def _zoom(evaluate, x, d, f0, dphi0, iteration,
     return armijo_best
 
 
-def _line_search(evaluate, x, f0, g0, d, iteration, max_expand=20):
+def _line_search(evaluate, x, f0, g0, d, iteration):
     """Strong Wolfe search along d; returns (alpha, f, grad) or None."""
     dphi0 = g0 @ d
     if dphi0 >= 0:
         return None
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = 1.0
-    for i in range(1, max_expand + 1):
+    for i in range(1, MAX_EXPAND + 1):
         f_a, grad_a = evaluate(x + a * d, iteration)
         if f_a > f0 + WOLFE_C1 * a * dphi0 or (i > 1 and f_a >= f_prev):
             del grad_a  # an unread grad holds its forward pass; free it first
@@ -224,15 +191,40 @@ def minimize(
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    evaluate = _Checked(objective)
+    evaluations = gradients = 0
+
+    def evaluate(x, iteration):
+        """The objective at x, counted, f checked; grad() checks its array once."""
+        nonlocal evaluations
+        f, grad = objective(x)
+        evaluations += 1
+        f = float(f)
+        if not math.isfinite(f):
+            raise FloatingPointError(f"non-finite cost at iteration {iteration}")
+        g = None
+
+        def checked_grad():
+            nonlocal g, gradients
+            if g is None:
+                g = np.asarray(grad(), dtype=np.float64)
+                gradients += 1
+                if not np.isfinite(g).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient at iteration {iteration}")
+                if g.shape != x.shape:
+                    raise ValueError(
+                        f"gradient shape {g.shape} does not match parameter shape {x.shape}"
+                    )
+            return g
+
+        return f, checked_grad
+
     x = np.asarray(x0, dtype=np.float64).copy()
     f, grad = evaluate(x, 0)
     g = grad()
     curve = [(0, f)]
     best_f, best_x = f, x.copy()
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history = []  # the latest (s, y, 1/s.y) curvature pairs, oldest first
     converged = False
     message = "max iterations reached"
 
@@ -241,16 +233,14 @@ def minimize(
             converged = True
             message = f"stationary point at iteration {it}"
             break
-        d = -_two_loop(g, s_hist, y_hist, rho_hist)
+        d = -_two_loop(g, history)
         if d @ g >= 0:
             d = -g  # curvature history unusable, fall back to steepest descent
         step = _line_search(evaluate, x, f, g, d, it)
-        if step is None and s_hist:
+        if step is None and history:
             # Stale curvature pairs can poison the direction; drop them and
             # retry once from steepest descent before giving up.
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            history.clear()
             d = -g
             step = _line_search(evaluate, x, f, g, d, it)
         if step is None:
@@ -263,13 +253,8 @@ def minimize(
         y_vec = g_new - g
         sy = s_vec @ y_vec
         if sy > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > HISTORY_SIZE:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s_vec, y_vec, 1.0 / sy))
+            del history[:-HISTORY_SIZE]
         drop = f - f_new
         x, f, g = x_new, f_new, g_new
         curve.append((it, f))
@@ -281,7 +266,7 @@ def minimize(
             break
 
     return MinimizeResult(x=best_x, curve=curve, converged=converged, message=message,
-                          evaluations=evaluate.evaluations, gradients=evaluate.gradients)
+                          evaluations=evaluations, gradients=gradients)
 
 
 @dataclass
@@ -301,6 +286,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_hidden", "k_max", "folds", "max_iterations"):
+            setattr(self, name, core._integer(name, getattr(self, name)))
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
         if not 1 <= self.k_max <= self.n_hidden:
@@ -379,6 +366,8 @@ def fit(X: np.ndarray, config: TrainingConfig):
     train/test split is managed by the caller.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     sigma = data.dataset_std(X)
     params, res = _fit_rows(X, sigma, config.resolve_gamma(), config)
     return params, sigma, res.curve
@@ -449,6 +438,8 @@ def evaluate_rmse(
     X_test = np.asarray(X_test, dtype=np.float64)
     if X_test.ndim == 1:
         X_test = X_test[None, :]
+    if X_test.ndim != 2:
+        raise ValueError(f"expected a frame or a 2-D matrix, got shape {X_test.shape}")
     if X_test.shape[1] != params.n_visible:
         raise ValueError(
             f"test matrix has {X_test.shape[1]} columns, model expects {params.n_visible}"

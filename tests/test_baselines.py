@@ -102,3 +102,10 @@ class TestErrors:
     def test_training_matrix_must_be_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             baselines.fit("dct", np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pca_names_the_first_non_finite_entry(self, bad):
+        X = training(7)
+        X[9, 4] = X[12, 1] = bad
+        with pytest.raises(ValueError, match=f"training frame 9, sensor 4 is not finite: {bad}"):
+            baselines.fit("pca", X)

@@ -555,7 +555,8 @@ class TestGradient:
 
         def one_evaluation(objective, x0, **kwargs):
             objective(x0)
-            return trainer.MinimizeResult(x=x0, curve=[], converged=True, message="")
+            return trainer.MinimizeResult(x=x0, curve=[], converged=True, message="",
+                                          evaluations=1, gradients=0)
 
         monkeypatch.setattr(core, "shrink_mask", counting_shrink_mask)
         monkeypatch.setattr(trainer, "minimize", one_evaluation)

@@ -330,6 +330,13 @@ class TestLassoRecoverBatchErrors:
         with pytest.raises(ValueError, match="frame 0"):
             lasso_recover_batch(phi, np.ones((5, 12)), np.nan)
 
+    @pytest.mark.parametrize("lam", [0.01, None])
+    def test_non_finite_matrix_names_the_first_bad_entry(self, lam):
+        phi = gaussian_sensing_matrix(12, 25)
+        phi[4, 17] = phi[6, 2] = np.nan
+        with pytest.raises(ValueError, match="matrix row 4, column 17 is not finite: nan"):
+            lasso_recover_batch(phi, np.ones((5, 12)), lam)
+
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError, match="lam of frame 0 must be finite and >= 0"):
             lasso_recover_batch(gaussian_sensing_matrix(12, 25), np.ones((2, 12)), -1.0)

@@ -173,6 +173,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainingConfig(n_hidden=5, k_max=2, **{field: bad})
 
+    @pytest.mark.parametrize("field, bad", [("n_hidden", 5.0), ("k_max", 2.5), ("folds", "3"),
+                                            ("max_iterations", 7.5)])
+    def test_non_integer_size_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainingConfig(**{"n_hidden": 5, "k_max": 2, field: bad})
+
     def test_auto_gamma(self):
         cfg = TrainingConfig(n_hidden=10, k_max=5)
         np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
@@ -254,6 +260,10 @@ class TestFit:
         assert sigma > 0
         assert curve[0][0] == 0 and len(curve) >= 2
 
+    def test_one_d_matrix_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"expected a 2-D matrix, got shape \(5,\)"):
+            fit(np.arange(5.0), TrainingConfig(n_hidden=4, k_max=2))
+
 
 class TestEvaluateRmse:
     def test_constant_frames_reconstruct_exactly(self):
@@ -278,6 +288,10 @@ class TestEvaluateRmse:
                             w2=np.zeros((3, 4)), b2=np.zeros(3))
         with pytest.raises(ValueError):
             evaluate_rmse(p, 1.0, np.zeros((5, 2)), k=2)
+
+    def test_zero_d_matrix_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            evaluate_rmse(init_params(3, 4), 1.0, np.float64(2.0), 2)
 
     def test_empty_test_matrix_rejected(self):
         p = init_params(23, 25, seed=0)
