@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dct as _dct
 
-from . import core
+from . import core, data
 
 __all__ = ["Sparsifier", "DctSparsifier", "DftSparsifier", "PcaSparsifier", "fit"]
 
@@ -56,8 +56,14 @@ class Sparsifier:
         return a
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of a frame (N,) or a batch (B, N) in the basis."""
-        return (self._rows(x, "frame") - self.mean) @ self.components.T
+        """Coefficients of a frame (N,) or a batch (B, N) in the basis.
+
+        A non-finite reading raises a ValueError naming its frame and sensor.
+        """
+        x = self._rows(x, "frame")
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):  # .all() without its wrapper
+            raise data.non_finite_error(x)
+        return (x - self.mean) @ self.components.T
 
     def encode(self, x: np.ndarray, k: int) -> np.ndarray:
         """Transform then keep the k largest-magnitude coefficients of each frame."""
@@ -111,10 +117,8 @@ class PcaSparsifier(Sparsifier):
         T, N = X.shape
         if T < N:
             raise ValueError(f"PCA needs at least N={N} rows, got {T}")
-        bad = np.argwhere(~np.isfinite(X))
-        if bad.size:
-            t, n = bad[0]
-            raise ValueError(f"training frame {t}, sensor {n} is not finite: {X[t, n]}")
+        if not np.isfinite(X).all():
+            raise data.non_finite_error(X, "training frame")
         mean = X.mean(axis=0)
         centered = X - mean
         cov = centered.T @ centered / T

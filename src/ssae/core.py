@@ -20,7 +20,8 @@ gradient() returns (cost, grad) from a single forward pass, which is the
 objective contract of trainer.minimize: grad() runs the backward pass
 from the saved forward state on its first call and returns that flat
 array, in SsaeParams.to_vector order, on every later call, so a caller
-that never reads the slope never pays for it.  cost() is the value alone.
+that never reads the slope never pays for it.  cost() is gradient()'s
+cost, from the same pass, with the slope never read.
 
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
@@ -227,29 +228,6 @@ def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:
     return D
 
 
-def _forward(params, D, gamma, k, rounding_places):
-    """The pass shared by cost() and gradient(): layers and objective value.
-
-    Also returns H*H and 1 + H*H, which the penalty and its derivative share.
-    """
-    if not 0 <= gamma < np.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    D = _check_batch(params, D)
-    T = D.shape[0]
-    H = hidden_activation(params, D)
-    mask = shrink_mask(H, k)
-    S = np.where(mask, H, 0.0)
-    if rounding_places is not None:
-        S = round_code(S, rounding_places)
-    D_hat = reconstruct(params, S)
-    err = D_hat - D
-    recon = 0.5 * float(np.sum(np.square(err))) / T
-    HH = H * H
-    one_plus_HH = 1.0 + HH
-    penalty = gamma * float(np.sum(np.log10(one_plus_HH))) / T
-    return recon + penalty, (D, H, HH, one_plus_HH, mask, S, D_hat, err)
-
-
 def cost(
     params: SsaeParams,
     D: np.ndarray,
@@ -259,10 +237,11 @@ def cost(
 ) -> float:
     """Mean reconstruction error plus the activation sparsity penalty.
 
+    This is gradient()'s cost, from the same forward pass.
     rounding_places=None skips code rounding; pass None when checking
     gradients against finite differences, since rounding is a staircase.
     """
-    return _forward(params, D, gamma, k, rounding_places)[0]
+    return gradient(params, D, gamma, k, rounding_places)[0]
 
 
 def gradient(
@@ -284,8 +263,22 @@ def gradient(
     term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
     through the first-layer tanh derivative.
     """
-    c, state = _forward(params, D, gamma, k, rounding_places)
-    g = None
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    D = _check_batch(params, D)
+    T = D.shape[0]
+    H = hidden_activation(params, D)
+    mask = shrink_mask(H, k)
+    S = np.where(mask, H, 0.0)
+    if rounding_places is not None:
+        S = round_code(S, rounding_places)
+    D_hat = reconstruct(params, S)
+    err = D_hat - D
+    HH = H * H  # the penalty and its derivative share H*H and 1 + H*H
+    one_plus_HH = 1.0 + HH
+    c = (0.5 * float(np.sum(np.square(err))) / T
+         + gamma * float(np.sum(np.log10(one_plus_HH))) / T)
+    state, g = (D, H, HH, one_plus_HH, mask, S, D_hat, err), None
 
     def grad() -> np.ndarray:
         nonlocal g, state

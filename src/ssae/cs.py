@@ -12,8 +12,9 @@ recovered alone, since the closing solve pads every frame's active Gram
 matrix to the batch's largest support and LAPACK's rounding depends on
 that size.
 Steps touch live frames only, and each keeps the inverse of its active
-Gram matrix, bordered on a join and shrunk on a drop (Donoho & Tsaig
-2008), so no step solves a linear system.
+Gram matrix.  A step's one event, a join or a drop, changes it by one
+rank-one update, the same for both (Donoho & Tsaig 2008), so no step
+solves a linear system.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ def lasso_recover_batch(
     lam one naming the frame.  B=1: lasso_recover_batch(phi, y[None])[0].
 
     State is kept for live frames only.  Each holds its active set in up to
-    min(M, L) slots and the inverse of G_AA over them, updated by bordering
-    per join or drop; the code returned is one fresh solve of G_AA at each
-    frame's final support and penalty.  Any finite phi is accepted, M > L too; the
-    later column of a twin pair (phi_j = +-phi_i) never joins, as its
-    correlation ties the earlier one's.
+    min(M, L) slots and the inverse of G_AA over them, changed by one
+    rank-one update Gi += u w^T per join or drop; the code returned is one
+    fresh solve of G_AA at each frame's final support and penalty.  Any
+    finite phi is accepted, M > L too; the later column of a twin pair
+    (phi_j = +-phi_i) never joins, as its correlation ties the earlier one's.
     """
     phi = np.asarray(phi, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -189,36 +190,34 @@ def lasso_recover_batch(
         # from or once M columns span the measurements; s_j reaching 0 drops.
         t_join = np.fmin(np.where((t_up > lo) & (left <= 0), t_up, np.inf),
                          np.where((t_down > lo) & (left >= 0), t_down, np.inf))
-        t_join[A | twin | (n_active >= M)[:, None]] = np.inf
-        t_drop[~(t_drop > lo) | ~A] = np.inf
+        np.putmask(t_join, A | twin | (n_active >= M)[:, None], np.inf)
+        np.putmask(t_drop, ~(t_drop > lo) | ~A, np.inf)
         jj, jd = np.argmin(t_join, axis=1), np.argmin(t_drop, axis=1)
-        tj, td, t_target = t_join.min(axis=1), t_drop.min(axis=1), lv - lam_l
+        tj, td, t_target = t_join[r, jj], t_drop[r, jd], lv - lam_l
         t = np.minimum(t_target, np.minimum(tj, td))
         done = t_target <= t
         drop, join = ~done & (td <= tj), ~done & (td > tj)
         s += t[:, None] * d
         lv = np.where(done, lam_l, lv - t)
         left[:] = 0.0
-        if drop.any():  # empty slot p: Gi -= u u^T / u_p with u = Gi[:, p]
-            f, k = r[drop], jd[drop]
-            left[f, k], th[f, k], s[f, k] = th[f, k], 0.0, 0.0
-            p = np.argmax(slot[f] == k[:, None], axis=1)
-            u = Gi[f, :, p]
-            Gi[f] -= np.einsum("ni,nj->nij", u, u / u[r[:f.size], p, None])
-            Gi[f, p], Gi[f, :, p], slot[f, p] = 0.0, 0.0, L
-        f, k = r[join], jj[join]
-        th[f, k] = np.sign(c[join, k] - t[join] * a[join, k])
-        # Put jj in the first free slot p by bordering: with v = G[slots, jj]
-        # and u = Gi v, set u_p = -1 and add u u^T / (G[jj, jj] - v.u) to Gi.
-        # Frames that do not join add zero.
-        p = np.argmax(slot == L, axis=1)
-        v = Gz[slot, jj[:, None]]
+        k = np.where(drop, jd, jj)  # the coordinate that joins or drops
+        p = np.argmax(slot == np.where(drop, k, L)[:, None], axis=1)  # its slot or a free one
+        fd, kd, pd = r[drop], k[drop], p[drop]
+        left[fd, kd], th[fd, kd], s[fd, kd] = th[fd, kd], 0.0, 0.0
+        fj, kj = r[join], k[join]
+        th[fj, kj] = np.sign(c[join, kj] - t[join] * a[join, kj])
+        # One rank-one update Gi += u w^T per event.  A join borders: with
+        # v = G[slots, k] and u = Gi v, u_p = -1 and w = u / (G[k, k] - v.u).
+        # A drop takes u = Gi[:, p] and w = u / -u_p, so Gi -= u u^T / u_p,
+        # then empties slot p.  Retiring frames add zero.
+        v = Gz[slot, k[:, None]]
         u = np.einsum("npq,nq->np", Gi, v)
-        sc = g[jj] - np.sum(v * u, axis=1)
+        sc = np.where(drop, -Gi[r, p, p], g[k] - np.sum(v * u, axis=1))
         u[r, p] = -1.0
-        w = np.divide(u, sc[:, None], out=np.zeros_like(u), where=join[:, None])
+        u = np.where(drop[:, None], Gi[r, :, p], u)
+        w = np.divide(u, sc[:, None], out=np.zeros_like(u), where=~done[:, None])
         Gi += np.einsum("ni,nj->nij", u, w)
-        slot[f, p[join]] = k
+        Gi[fd, pd], Gi[fd, :, pd], slot[fd, pd], slot[fj, p[join]] = 0.0, 0.0, L, kj
         if done.any():
             theta[live[done]], level[live[done]] = th[done, :L], lv[done]
             keep = np.flatnonzero(~done)

@@ -30,6 +30,7 @@ __all__ = [
     "write_csv",
     "generate_synthetic",
     "synthetic_field",
+    "non_finite_error",
     "sphere",
     "sphere_rows",
     "desphere_rows",
@@ -303,6 +304,18 @@ def generate_synthetic(
     return field + z
 
 
+def non_finite_error(X: np.ndarray, what: str = "frame") -> ValueError:
+    """The ValueError naming the first non-finite frame and sensor of X.
+
+    X is a frame (N,), named as frame 0, or a batch (B, N) with a
+    non-finite entry.  Callers build it only after their one-reduce check
+    of the whole array fails, so finite input pays nothing more.
+    """
+    X = X.reshape(-1, X.shape[-1])
+    t, n = np.argwhere(~np.isfinite(X))[0]
+    return ValueError(f"{what} {t}, sensor {n} is not finite: {X[t, n]}")
+
+
 def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
     """Sphere one frame (N,): sphere_rows at B=1, returned as a SpheredFrame."""
     x = np.asarray(x, dtype=np.float64)
@@ -323,7 +336,7 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     if not X.shape[-1]:
         raise ValueError(f"frames have no sensors, got shape {X.shape}")
     if not np.logical_and.reduce(np.isfinite(X), axis=None):  # .all() without its wrapper
-        raise ValueError("frames contain non-finite values")
+        raise non_finite_error(X)
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
     means = np.add.reduce(X, axis=-1) / X.shape[-1]  # X.mean(axis=-1), bit for bit
@@ -361,7 +374,7 @@ def dataset_std(X: np.ndarray) -> float:
     if X.size < 2:
         raise ValueError("need at least 2 entries to measure spread")
     if not np.isfinite(X).all():
-        raise ValueError("matrix contains non-finite values")
+        raise non_finite_error(X)
     s = float(X.std())
     if s == 0.0:
         raise ValueError("constant matrix: standard deviation is zero")

@@ -109,3 +109,18 @@ class TestErrors:
         X[9, 4] = X[12, 1] = bad
         with pytest.raises(ValueError, match=f"training frame 9, sensor 4 is not finite: {bad}"):
             baselines.fit("pca", X)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_encode_names_the_non_finite_frame_and_sensor(self, kind, bad):
+        sp = baselines.fit(kind, training(6))
+        x = np.arange(6.0)
+        x[3] = bad
+        with pytest.raises(ValueError, match=f"frame 0, sensor 3 is not finite: {bad}"):
+            sp.encode(x, 2)
+        X = np.ones((4, 6))
+        X[2] = x
+        with pytest.raises(ValueError, match=f"frame 2, sensor 3 is not finite: {bad}"):
+            sp.encode(X, 2)
+        with pytest.raises(ValueError, match=f"frame 2, sensor 3 is not finite: {bad}"):
+            sp.transform(X)

@@ -291,7 +291,9 @@ class TestLassoRecoverBatchProperties:
         Y = sparse_codes(rng, 300, 25, 5) @ phi.T
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lasso_recover_batch(phi, Y)
+            S = lasso_recover_batch(phi, Y)
+            # A drop-heavy path: pins the shared join and drop update.
+            assert np.array_equal(S, reference_recover(phi, Y))
 
 
 @pytest.mark.parametrize("m", [12, 20])

@@ -391,6 +391,12 @@ class TestSphereRows:
             np.testing.assert_array_equal(D[i], f.d)
             assert means[i] == f.mean
 
+    def test_names_the_first_non_finite_frame_and_sensor(self):
+        X = np.zeros((40, 6))
+        X[17, 3] = X[30, 1] = np.nan
+        with pytest.raises(ValueError, match="frame 17, sensor 3 is not finite: nan"):
+            sphere_rows(X, 1.0)
+
 
 def frames_or_batches(max_abs=1e6):
     """A frame (N,) or a batch (B, N) of finite readings."""
@@ -467,6 +473,12 @@ class TestDatasetStd:
     def test_single_entry_rejected(self):
         with pytest.raises(ValueError):
             dataset_std(np.array([[3.0]]))
+
+    def test_names_the_first_non_finite_frame_and_sensor(self):
+        X = np.zeros((40, 6))
+        X[17, 3] = X[30, 1] = np.nan
+        with pytest.raises(ValueError, match="frame 17, sensor 3 is not finite: nan"):
+            dataset_std(X)
 
     def test_matches_generator_scale(self):
         X = generate_synthetic(10, 20000, correlation_length=3.0,
