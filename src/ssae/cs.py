@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
+
 __all__ = [
     "Measurement",
     "min_measurements",
@@ -52,6 +54,7 @@ class Measurement:
 
 def min_measurements(k: int, l: int) -> int:
     """Measurement count M = ceil(K * log2(L / K)), floored at 1."""
+    k, l = core._integer("k", k), core._integer("l", l)
     if not 1 <= k <= l:
         raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
     return max(1, math.ceil(k * math.log2(l / k)))
@@ -63,6 +66,7 @@ def gaussian_sensing_matrix(m: int, l: int, seed: int = 0) -> np.ndarray:
     Columns then have unit expected squared norm, keeping measurements at
     the scale of the code.  Deterministic given (m, l, seed).
     """
+    m, l = core._integer("m", m), core._integer("l", l)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > l:

@@ -8,8 +8,8 @@ its B=1 case and desphere_rows the affine inverse.
 
 Memory: load_csv parses a clean log as a stream of lines, so its peak
 beyond the (T, N) array it returns is a few lines and the array's growth
-slack; it never holds the whole file, its text or a list of its lines.
-Only input that np.loadtxt rejects is read whole, by the cell parser.
+slack.  No path holds the file, its text or its rows, except for a bare
+reader that cannot seek, which is read whole first.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import core
 
 __all__ = [
     "CsvFormatError",
@@ -95,10 +98,12 @@ def load_csv(source) -> np.ndarray:
     The source is read from its current position as one stream of
     "\\n"-separated lines, bytes decoded as UTF-8, and clean numeric
     lines go to np.loadtxt as they are read.  If it rejects them, or reads
-    a non-finite value, the source is read again, whole, by a cell-by-cell
-    parser that finds the first offending row and column, so every input
-    gives the same array or the same error either way.  A stream that
-    cannot seek is read whole first.
+    a non-finite value, the same lines are read again, row by row, by a
+    cell-by-cell parser that names the first offending row and column, so
+    every input gives the same array or the same error either way.  Of
+    two faults, the first in reading order is named: a bad cell in row 1
+    before a byte that is not UTF-8 on line 3.  A stream that cannot seek
+    is read whole first.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
@@ -110,7 +115,7 @@ def load_csv(source) -> np.ndarray:
     X = _load_numeric(_text_lines(source))
     if X is None:
         source.seek(start)
-        X = _load_rows(_decoded(source.read()))
+        X = _load_rows(_utf8_lines(source))
     return X
 
 
@@ -122,15 +127,15 @@ def _text_lines(stream):
     return lines if isinstance(first, str) else map(bytes.decode, lines)  # strict UTF-8
 
 
-def _decoded(raw) -> str:
-    """raw as text; CsvFormatError naming the line of its first byte that is not UTF-8."""
-    if isinstance(raw, str):
-        return raw
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise CsvFormatError(f"line {line}: not UTF-8: byte {raw[exc.start]:#04x}") from None
+def _utf8_lines(stream):
+    """_text_lines, with a CsvFormatError naming the line of a byte that is not UTF-8."""
+    for n, line in enumerate(stream, start=1):
+        if not isinstance(line, str):
+            try:
+                line = line.decode()
+            except UnicodeDecodeError as exc:
+                raise CsvFormatError(f"line {n}: not UTF-8: byte {line[exc.start]:#04x}") from None
+        yield line
 
 
 def _load_numeric(lines) -> np.ndarray | None:
@@ -159,23 +164,18 @@ def _load_numeric(lines) -> np.ndarray | None:
     return X if X.size and np.isfinite(X).all() else None
 
 
-def _load_rows(text: str) -> np.ndarray:
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1)
-        if row
-    ]
-    if not rows:
+def _load_rows(lines) -> np.ndarray:
+    """The cell parser: str lines read once, row by row, into one growing buffer."""
+    rows = ((lineno, row) for lineno, row in enumerate(csv.reader(lines), start=1) if row)
+    first = next(rows, None)
+    if first is None:
         raise CsvFormatError("empty CSV: no data rows")
-
-    if _is_header(rows[0][1]):
-        rows = rows[1:]
-        if not rows:
+    if _is_header(first[1]):
+        first = next(rows, None)
+        if first is None:
             raise CsvFormatError("CSV contains only a header, no data rows")
-
-    width = len(rows[0][1])
-    out = np.empty((len(rows), width), dtype=np.float64)
-    for i, (lineno, row) in enumerate(rows):
+    width, out = len(first[1]), array("d")
+    for lineno, row in itertools.chain((first,), rows):
         if len(row) != width:
             raise CsvFormatError(
                 f"row {lineno}: expected {width} fields, found {len(row)}"
@@ -191,21 +191,25 @@ def _load_rows(text: str) -> np.ndarray:
                 raise CsvFormatError(
                     f"row {lineno}, column {j + 1}: non-finite value {cell!r}"
                 )
-            out[i, j] = value
-    return out
+            out.append(value)
+    return np.frombuffer(out).reshape(-1, width)
 
 
 def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None:
     """Write a (T, N) dataset as CSV at full double precision.
 
     Values are printed with 17 significant digits so load_csv(write_csv(X))
-    reproduces X bit-exactly.
+    reproduces X bit-exactly.  A header cell that would not read back, one
+    that is a number or holds a comma, quote or line break, is rejected.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if header is not None and len(header) != X.shape[1]:
         raise ValueError("header length does not match column count")
+    for j, cell in enumerate(header or (), start=1):
+        if any(c in cell for c in ',"\r\n') or _is_number(cell):
+            raise ValueError(f"header cell {j} would not read back: {cell!r}")
     np.savetxt(sink, X, fmt="%.17g", delimiter=",",
                header="" if header is None else ",".join(header),
                comments="", encoding="utf-8")
@@ -244,6 +248,8 @@ def synthetic_field(
     Covariance between two sensors decays with their distance over the
     correlation length; correlation_length = inf makes all columns equal.
     """
+    n_sensors = core._integer("n_sensors", n_sensors)
+    n_samples = core._integer("n_samples", n_samples)
     if n_sensors < 2:
         raise ValueError("need at least 2 sensors for a spatially correlated field")
     if n_samples < 1:

@@ -58,6 +58,8 @@ def gamma_for_eta(eta: float) -> float:
 
 def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams:
     """Symmetric uniform weight init, r = sqrt(6 / (N + L)); zero biases."""
+    n_visible = core._integer("n_visible", n_visible)
+    n_hidden = core._integer("n_hidden", n_hidden)
     if n_visible < 1 or n_hidden < 1:
         raise ValueError("layer sizes must be >= 1")
     rng = np.random.default_rng(seed)

@@ -19,6 +19,11 @@ def test_min_measurements_operating_point():
     assert min_measurements(5, 25) == 12
 
 
+def test_min_measurements_non_integer_k_named():
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        min_measurements(2.5, 25)
+
+
 class TestGaussianSensingMatrix:
     def test_deterministic_per_seed(self):
         a = gaussian_sensing_matrix(12, 25, seed=3)
@@ -28,6 +33,10 @@ class TestGaussianSensingMatrix:
     def test_rejects_more_measurements_than_code(self):
         with pytest.raises(ValueError, match="compress"):
             gaussian_sensing_matrix(26, 25)
+
+    def test_non_integer_m_named(self):
+        with pytest.raises(ValueError, match="m must be an integer, got 12.0"):
+            gaussian_sensing_matrix(12.0, 25)
 
 
 class TestMeasure:

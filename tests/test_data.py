@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -5,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -157,7 +158,7 @@ class TestLoadCsvFastPath:
     @example("0,\x1c0")  # np.loadtxt strips \x1c-\x1f around a number, float does not
     def test_same_array_or_error_as_the_cell_parser(self, text):
         fast = parse_outcome(lambda t: load_csv(io.StringIO(t)), text)
-        slow = parse_outcome(data._load_rows, text)
+        slow = parse_outcome(data._load_rows, io.StringIO(text))
         assert same_outcome(fast, slow), (fast, slow)
 
     @settings(max_examples=200, deadline=None)
@@ -239,11 +240,149 @@ class TestWriteCsvProperties:
         write_csv(X, path, header=header)
         assert path.read_bytes() == reference_csv(X, header).encode("utf-8")
 
+    @pytest.mark.parametrize("header, cell", [
+        (["1", "2"], "1"),  # read back as a data row
+        (["a", "2"], "2"),
+        (["nan", "x"], "nan"),
+        (["a\nb", "c"], "a\nb"),
+        (['"q', "c"], '"q'),
+    ])
+    def test_rejects_header_that_would_not_read_back(self, header, cell):
+        with pytest.raises(ValueError, match=re.escape(
+                f"header cell {header.index(cell) + 1} would not read back: {cell!r}")):
+            write_csv(np.zeros((2, 2)), io.StringIO(), header=header)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_matrices, st.data())
+    def test_every_accepted_header_reads_back(self, X, draw):
+        header = draw.draw(st.lists(st.text(max_size=6), min_size=X.shape[1],
+                                    max_size=X.shape[1]))
+        sink = io.StringIO()
+        try:
+            write_csv(X, sink, header=header)
+        except ValueError:
+            assume(False)
+        text = sink.getvalue()
+        assert same_bits(load_csv(io.StringIO(text)), X)
+        assert same_bits(load_csv(io.BytesIO(text.encode("utf-8"))), X)
+
     def test_rejects_non_matrix_and_wrong_header(self):
         with pytest.raises(ValueError, match="2-D"):
             write_csv(np.zeros(3), io.StringIO())
         with pytest.raises(ValueError, match="header"):
             write_csv(np.zeros((2, 3)), io.StringIO(), header=["a", "b"])
+
+
+def reference_decoded(raw) -> str:
+    """raw as text, decoded whole; CsvFormatError naming the line of its
+    first byte that is not UTF-8."""
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"line {line}: not UTF-8: byte {raw[exc.start]:#04x}") from None
+
+
+def reference_load_rows(text: str) -> np.ndarray:
+    """The whole-text cell parser: every row listed first, then checked in order."""
+    rows = [
+        (lineno, row)
+        for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+        if row
+    ]
+    if not rows:
+        raise CsvFormatError("empty CSV: no data rows")
+
+    if data._is_header(rows[0][1]):
+        rows = rows[1:]
+        if not rows:
+            raise CsvFormatError("CSV contains only a header, no data rows")
+
+    width = len(rows[0][1])
+    out = np.empty((len(rows), width), dtype=np.float64)
+    for i, (lineno, row) in enumerate(rows):
+        if len(row) != width:
+            raise CsvFormatError(
+                f"row {lineno}: expected {width} fields, found {len(row)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                value = data._number(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"row {lineno}, column {j + 1}: not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"row {lineno}, column {j + 1}: non-finite value {cell!r}"
+                )
+            out[i, j] = value
+    return out
+
+
+def traced(parse, source):
+    """parse_outcome of parse(source) and the traced peak it reached, in bytes."""
+    tracemalloc.start()
+    try:
+        outcome = parse_outcome(parse, source)
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadCsvStream:
+    """The cell parser reads the same line stream as the fast path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_same_array_or_error_as_the_whole_text_parser(self, text):
+        raw = text.encode("utf-8")
+        expected = parse_outcome(lambda r: reference_load_rows(reference_decoded(r)), raw)
+        for stream in (io.BytesIO(raw), io.StringIO(text)):
+            got = parse_outcome(load_csv, stream)
+            assert same_outcome(got, expected), (got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_matrices, st.booleans(), st.data())
+    def test_bad_byte_named_as_the_whole_text_parser_names_it(self, X, with_header, draw):
+        header = [f"s{j}" for j in range(X.shape[1])] if with_header else None
+        raw = reference_csv(X, header).encode("utf-8")
+        at = draw.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + bytes([draw.draw(st.integers(0x80, 0xFF))]) + raw[at:]
+        expected = parse_outcome(lambda r: reference_load_rows(reference_decoded(r)), raw)
+        assert expected[0] is CsvFormatError and "not UTF-8" in expected[1]
+        assert parse_outcome(load_csv, io.BytesIO(raw)) == expected
+
+    def test_first_fault_in_reading_order_is_named(self):
+        # A cell that is not a number in row 1 comes before the byte on line 3.
+        with pytest.raises(CsvFormatError,
+                           match=re.escape("row 1, column 2: not a number: '2\\n3'")):
+            load_csv(io.BytesIO(b'1,"2\n3",4\n\xc3(,1\n'))
+
+    def test_text_stream_decoder_error_propagates(self):
+        with io.TextIOWrapper(io.BytesIO(b"1,2\n3,\xe94\n"), encoding="utf-8") as stream:
+            with pytest.raises(UnicodeDecodeError):
+                load_csv(stream)
+
+    def test_nan_tailed_log_named_within_the_output_size(self, tmp_path):
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+        X[-1, -1] = np.nan
+        path = tmp_path / "log.csv"
+        write_csv(X, path)
+        outcome, peak = traced(load_csv, path)
+        assert outcome == (CsvFormatError, "row 20000, column 23: non-finite value 'nan'")
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
+    def test_quoted_cell_log_parses_within_the_output_size(self, tmp_path):
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(",".join(f'"{v:.17g}"' for v in row) + "\n" for row in X)
+        out, peak = traced(load_csv, path)
+        assert same_bits(out, X)
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
 
 
 class TestGenerateSynthetic:
@@ -277,6 +416,14 @@ class TestGenerateSynthetic:
     def test_single_sensor_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic(1, 10)
+
+    @pytest.mark.parametrize("n_sensors, n_samples, name", [
+        (2.5, 10, "n_sensors"), (23, 10.0, "n_samples"),
+    ])
+    def test_non_integer_size_named(self, n_sensors, n_samples, name):
+        bad = n_sensors if name == "n_sensors" else n_samples
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad}"):
+            generate_synthetic(n_sensors, n_samples)
 
     def test_spatial_correlation_decays(self):
         X = synthetic_field(23, 4000, correlation_length=2.5, seed=0)

@@ -53,6 +53,10 @@ class TestInitParams:
         r = math.sqrt(6.0 / 48.0)
         assert np.abs(p.w1).max() <= r and np.abs(p.w2).max() <= r
 
+    def test_non_integer_size_named(self):
+        with pytest.raises(ValueError, match="n_visible must be an integer, got 3.0"):
+            init_params(3.0, 4)
+
 
 class TestMinimize:
     def test_convex_quadratic(self):
