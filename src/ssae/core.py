@@ -27,8 +27,9 @@ Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
 keeps more than k (a tie at the threshold, or a NaN) are redone by a
 stable sort, so ties keep the lower index.  An evaluation writes its
-temporaries in place and computes h^2 and 1 + h^2 once, keeping the
-operand order of the formulas above, so its bits equal theirs.
+temporaries in place, computes h^2 and 1 + h^2 once and backpropagates
+into forward arrays it is done reading, keeping the operand order of the
+formulas above, so its bits equal theirs.
 """
 
 from __future__ import annotations
@@ -255,13 +256,14 @@ def gradient(
 
     The cost equals cost() exactly.  grad() backpropagates from the saved
     forward state on its first call and returns the same array on every
-    later call; it must cache, since the backward pass writes into the
-    saved H*H and 1 + H*H.  The gradient is averaged over the batch, flat
-    in SsaeParams.to_vector order.  The pruning mask is frozen from the
-    forward pass, so reconstruction error reaches only the k surviving
-    units of each frame; rounding is treated as the identity.  The penalty
-    term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
-    through the first-layer tanh derivative.
+    later call; it must cache, since the backward pass overwrites four of
+    the saved arrays: D_hat, S, H*H and 1 + H*H.  The gradient is
+    averaged over the batch, flat in SsaeParams.to_vector order.  The
+    pruning mask is frozen from the forward pass, so reconstruction error
+    reaches only the k surviving units of each frame; rounding is treated
+    as the identity.  The penalty term d/dh log10(1 + h^2) =
+    2h / ((1 + h^2) ln 10) reaches every unit through the first-layer tanh
+    derivative.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -291,20 +293,26 @@ def gradient(
 
 
 def _backward(params, gamma, D, H, HH, one_plus_HH, mask, S, D_hat, err):
-    """Backpropagate one forward pass; overwrites HH and one_plus_HH."""
+    """Backpropagate one forward pass; allocates only dh.
+
+    Each saved array is overwritten once its last reader is done: D_hat
+    holds delta2, S the penalty term, one_plus_HH delta2 @ W2 and HH
+    1 - h^2.
+    """
     T = D.shape[0]
 
-    delta2 = D_hat * D_hat                         # (T, N): err * (1 - D_hat^2)
+    delta2 = np.multiply(D_hat, D_hat, out=D_hat)  # (T, N): err * (1 - D_hat^2)
     np.subtract(1.0, delta2, out=delta2)
     delta2 *= err
     g_w2 = delta2.T @ S / T                        # (N, L)
     g_b2 = delta2.sum(axis=0) / T                  # (N,)
 
-    dh = np.where(mask, delta2 @ params.w2, 0.0)   # (T, L); pruned units get nothing
-    penalty = 2.0 * H                              # gamma * 2h / ((1 + h^2) ln 10)
+    penalty = np.multiply(2.0, H, out=S)           # gamma * 2h / ((1 + h^2) ln 10)
     penalty *= gamma
     one_plus_HH *= _LN10
     penalty /= one_plus_HH
+    back = np.matmul(delta2, params.w2, out=one_plus_HH)  # penalty has read one_plus_HH
+    dh = np.where(mask, back, 0.0)                 # (T, L); pruned units get nothing
     dh += penalty
     np.subtract(1.0, HH, out=HH)                   # delta1 = dh * (1 - h^2)
     dh *= HH

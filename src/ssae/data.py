@@ -9,7 +9,10 @@ its B=1 case and desphere_rows the affine inverse.
 Memory: load_csv parses a clean log as a stream of lines, so its peak
 beyond the (T, N) array it returns is a few lines and the array's growth
 slack.  No path holds the file, its text or its rows, except for a bare
-reader that cannot seek, which is read whole first.
+reader that cannot seek, which is read whole first.  generate_synthetic
+builds the field in one (T, N) buffer and adds it into the noise in
+place, so its peak is about two (T, N) arrays: the field and the spread
+it is computed from, or the field and the noise.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.variance}")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        object.__setattr__(self, "seed", core._integer("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def _load_numeric(lines) -> np.ndarray | None:
 
 def _load_rows(lines) -> np.ndarray:
     """The cell parser: str lines read once, row by row, into one growing buffer."""
-    rows = ((lineno, row) for lineno, row in enumerate(csv.reader(lines), start=1) if row)
+    rows = ((lineno, row) for lineno, row in enumerate(_csv_rows(lines), start=1) if row)
     first = next(rows, None)
     if first is None:
         raise CsvFormatError("empty CSV: no data rows")
@@ -195,12 +199,22 @@ def _load_rows(lines) -> np.ndarray:
     return np.frombuffer(out).reshape(-1, width)
 
 
+def _csv_rows(lines):
+    """csv.reader over str lines; a CsvFormatError naming the line of a csv.Error."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None:
     """Write a (T, N) dataset as CSV at full double precision.
 
     Values are printed with 17 significant digits so load_csv(write_csv(X))
     reproduces X bit-exactly.  A header cell that would not read back, one
-    that is a number or holds a comma, quote or line break, is rejected.
+    that is a number, holds a comma, quote or line break, or is longer than
+    csv.field_size_limit(), is rejected.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
@@ -208,7 +222,8 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     if header is not None and len(header) != X.shape[1]:
         raise ValueError("header length does not match column count")
     for j, cell in enumerate(header or (), start=1):
-        if any(c in cell for c in ',"\r\n') or _is_number(cell):
+        if (any(c in cell for c in ',"\r\n') or _is_number(cell)
+                or len(cell) > csv.field_size_limit()):
             raise ValueError(f"header cell {j} would not read back: {cell!r}")
     np.savetxt(sink, X, fmt="%.17g", delimiter=",",
                header="" if header is None else ",".join(header),
@@ -256,6 +271,8 @@ def synthetic_field(
         raise ValueError("n_samples must be >= 1")
     if not correlation_length > 0:
         raise ValueError("correlation_length must be positive")
+    if not math.isfinite(base_signal_amplitude):
+        raise ValueError(f"base_signal_amplitude must be finite, got {base_signal_amplitude}")
 
     rng, _ = _spawn_rngs(seed)
     amp = float(base_signal_amplitude)
@@ -279,9 +296,17 @@ def synthetic_field(
     half_span = 0.5 * (n_sensors - 1.0)
     centre = mid + half_span * np.sin(0.37 * phase + psi0 + wander)
 
-    spread = (pos[None, :] - centre[:, None]) / correlation_length
-    bump = amp * np.exp(-0.5 * spread * spread)
-    return level[:, None] + bump
+    # level + amp * exp(-0.5 * spread * spread) in one (T, N) buffer, each
+    # step with the formula's operands (or its commutative swap), bit for bit.
+    spread = pos[None, :] - centre[:, None]
+    spread /= correlation_length
+    field = -0.5 * spread
+    field *= spread
+    del spread
+    np.exp(field, out=field)
+    field *= amp
+    field += level[:, None]
+    return field
 
 
 def generate_synthetic(
@@ -307,7 +332,8 @@ def generate_synthetic(
         return field
     _, noise_rng = _spawn_rngs(noise.seed)
     z = noise_rng.normal(0.0, math.sqrt(noise.variance), size=field.shape)
-    return field + z
+    z += field
+    return z
 
 
 def non_finite_error(X: np.ndarray, what: str = "frame") -> ValueError:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,7 +475,81 @@ def draw_case(case):
     return random_params(rng, N, L, scale=scale), D, gamma, k
 
 
+def saved_forward(p, D, gamma, k, places):
+    """gradient()'s forward state, (D, H, HH, 1 + HH, mask, S, D_hat, err)."""
+    H = hidden_activation(p, D)
+    mask = shrink_mask(H, k)
+    S = np.where(mask, H, 0.0)
+    if places is not None:
+        S = round_code(S, places)
+    D_hat = reconstruct(p, S)
+    HH = H * H
+    return D, H, HH, 1.0 + HH, mask, S, D_hat, D_hat - D
+
+
+def allocating_backward(params, gamma, D, H, HH, one_plus_HH, mask, S, D_hat, err):
+    """The backward pass with a fresh array per temporary, operands as in core."""
+    T = D.shape[0]
+    delta2 = D_hat * D_hat
+    np.subtract(1.0, delta2, out=delta2)
+    delta2 *= err
+    g_w2 = delta2.T @ S / T
+    g_b2 = delta2.sum(axis=0) / T
+    dh = np.where(mask, delta2 @ params.w2, 0.0)
+    penalty = 2.0 * H
+    penalty *= gamma
+    one_plus_HH *= math.log(10.0)
+    penalty /= one_plus_HH
+    dh += penalty
+    np.subtract(1.0, HH, out=HH)
+    dh *= HH
+    g_w1 = dh.T @ D / T
+    g_b1 = dh.sum(axis=0) / T
+    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+
+
+def traced_peak(fn) -> int:
+    """The traced peak, in bytes, of fn() from a fresh start of tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGradient:
+    # (N, L, T, k, gamma, places): gamma 0, no rounding, k = L and T = 1.
+    @pytest.mark.parametrize("N, L, T, k, gamma, places", [
+        (23, 25, 400, 5, 0.3, 3),
+        (23, 25, 400, 5, 0.0, 3),
+        (23, 25, 400, 5, 0.3, None),
+        (23, 25, 400, 25, 0.3, 3),
+        (23, 25, 1, 5, 0.3, 3),
+        (4, 6, 1, 6, 0.0, None),
+    ])
+    def test_backward_bits_equal_the_allocating_backward(self, N, L, T, k, gamma, places):
+        rng = np.random.default_rng(N * L + T + k)
+        p = random_params(rng, N, L)
+        D = rng.uniform(-0.9, 0.9, (T, N))
+        _, grad = gradient(p, D, gamma, k, rounding_places=places)
+        g = grad()
+        ref = allocating_backward(p, gamma, *saved_forward(p, D, gamma, k, places))
+        assert g.tobytes() == ref.tobytes()
+        assert grad() is g and g.tobytes() == ref.tobytes()
+
+    def test_backward_allocates_less_than_one_hidden_batch(self):
+        # The backward pass writes into the saved forward arrays, so its
+        # only (T, L) array, dh, fits under the forward pass's own peak.
+        T, N, L = 4_000, 23, 25
+        rng = np.random.default_rng(22)
+        p = random_params(rng, N, L)
+        D = rng.uniform(-0.9, 0.9, (T, N))
+        gradient(p, D, 0.3, 5)[1]()  # warm-up: first-call allocations are not the pass's
+        forward = traced_peak(lambda: gradient(p, D, 0.3, 5))
+        both = traced_peak(lambda: gradient(p, D, 0.3, 5)[1]())
+        assert both - forward < T * L * 8, (forward, both)
+
     @settings(max_examples=150, deadline=None)
     @given(evaluation_cases, st.sampled_from([3, None]))
     def test_equals_unfused_reference(self, case, places):

@@ -92,6 +92,17 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 2, column 1"):
             load_csv(Pipe("1,2\nx,4\n"))
 
+    def test_lone_carriage_return_names_its_line(self):
+        for source in (io.StringIO("1,2\n3\r4,5\n"), io.BytesIO(b"1,2\n3\r4,5\n")):
+            with pytest.raises(CsvFormatError,
+                               match="line 2: new-line character seen in unquoted field"):
+                load_csv(source)
+
+    def test_quoted_field_over_the_size_limit_names_its_line(self):
+        text = '1,2\n3,4\n"' + "5" * (csv.field_size_limit() + 1) + '",6\n'
+        with pytest.raises(CsvFormatError, match="line 3: field larger than field limit"):
+            load_csv(io.StringIO(text))
+
     def test_traced_peak_near_output_size(self, tmp_path):
         # The lines are parsed as they are read: neither the whole text nor
         # a list of its lines is ever held.
@@ -266,6 +277,14 @@ class TestWriteCsvProperties:
         assert same_bits(load_csv(io.StringIO(text)), X)
         assert same_bits(load_csv(io.BytesIO(text.encode("utf-8"))), X)
 
+    def test_rejects_header_cell_over_the_csv_field_limit(self):
+        limit = csv.field_size_limit()
+        with pytest.raises(ValueError, match="header cell 1 would not read back"):
+            write_csv(np.zeros((1, 1)), io.StringIO(), header=["a" * (limit + 1)])
+        sink = io.StringIO()
+        write_csv(np.ones((1, 2)), sink, header=["a" * limit, "b"])
+        assert same_bits(load_csv(io.StringIO(sink.getvalue())), np.ones((1, 2)))
+
     def test_rejects_non_matrix_and_wrong_header(self):
         with pytest.raises(ValueError, match="2-D"):
             write_csv(np.zeros(3), io.StringIO())
@@ -385,7 +404,73 @@ class TestLoadCsvStream:
         assert peak <= 1.5 * X.nbytes, peak / X.nbytes
 
 
+def formula_generate(n_sensors, n_samples, correlation_length, amp, noise):
+    """generate_synthetic as one formula per line, each an allocating expression."""
+    rng, noise_rng = data._spawn_rngs(noise.seed)
+    pos = np.arange(1.0, n_sensors + 1.0)
+    phase = 2.0 * np.pi * np.arange(n_samples, dtype=np.float64) / data.DIURNAL_PERIOD
+    phi0 = rng.uniform(0.0, 2.0 * np.pi)
+    psi0 = rng.uniform(0.0, 2.0 * np.pi)
+    wander = data._ar1(rng, n_samples, smoothing=0.995, std=0.8)
+    level_walk = data._ar1(rng, n_samples, smoothing=0.997, std=amp)
+    level = 20.0 + amp * np.sin(phase + phi0) + level_walk
+    mid = 0.5 * (1.0 + n_sensors)
+    half_span = 0.5 * (n_sensors - 1.0)
+    centre = mid + half_span * np.sin(0.37 * phase + psi0 + wander)
+    spread = (pos[None, :] - centre[:, None]) / correlation_length
+    field = level[:, None] + amp * np.exp(-0.5 * spread * spread)
+    if noise.variance == 0.0:
+        return field
+    return field + noise_rng.normal(0.0, math.sqrt(noise.variance), size=field.shape)
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("n_sensors, n_samples, correlation_length, amp, variance", [
+        (23, 2_000, 4.0, 3.0, 0.01),
+        (23, 2_000, 4.0, 3.0, 0.0),
+        (6, 500, math.inf, 3.0, 0.01),
+        (23, 1, 4.0, 3.0, 0.01),
+        (10, 300, 0.3, -1.5, 2.0),
+    ])
+    def test_bits_equal_the_formulas(self, n_sensors, n_samples, correlation_length,
+                                     amp, variance):
+        noise = NoiseSpec(variance=variance, seed=n_samples + n_sensors)
+        X = generate_synthetic(n_sensors, n_samples, correlation_length, amp, noise)
+        ref = formula_generate(n_sensors, n_samples, correlation_length, amp, noise)
+        assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+
+    def test_traced_peak_near_two_outputs(self):
+        # The field is built in one (T, N) buffer and added into the noise.
+        generate_synthetic(23, 10, noise=NoiseSpec(variance=0.01, seed=3))  # warm-up
+        tracemalloc.start()
+        try:
+            X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * X.nbytes, peak / X.nbytes
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_noise_variance_named(self, variance):
+        with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+            NoiseSpec(variance=variance)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_non_integer_noise_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            NoiseSpec(seed=seed)
+
+    def test_numpy_integer_seed_is_a_python_int(self):
+        spec = NoiseSpec(variance=0.1, seed=np.int64(4))
+        assert type(spec.seed) is int and spec == NoiseSpec(variance=0.1, seed=4)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_named(self, amp):
+        with pytest.raises(ValueError, match="base_signal_amplitude must be finite"):
+            synthetic_field(5, 10, base_signal_amplitude=amp)
+        with pytest.raises(ValueError, match="base_signal_amplitude must be finite"):
+            generate_synthetic(5, 10, base_signal_amplitude=amp)
+
     def test_fully_correlated_limit(self):
         X = generate_synthetic(6, 50, correlation_length=math.inf,
                                noise=NoiseSpec(variance=0.0, seed=1))
