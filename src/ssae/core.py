@@ -26,10 +26,8 @@ cost, from the same pass, with the slope never read.
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
 keeps more than k (a tie at the threshold, or a NaN) are redone by a
-stable sort, so ties keep the lower index.  An evaluation writes its
-temporaries in place, computes h^2 and 1 + h^2 once and backpropagates
-into forward arrays it is done reading, keeping the operand order of the
-formulas above, so its bits equal theirs.
+stable sort, so ties keep the lower index.  An evaluation works in place
+in the operand order of the formulas above, so its bits equal theirs.
 """
 
 from __future__ import annotations
@@ -117,15 +115,16 @@ def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
 
     Accepts a single frame (N,) or a batch (T, N); the hidden axis is last.
     """
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 0:
-        raise ValueError("d must be a frame (N,) or a batch (T, N), got a 0-d value")
-    if d.shape[-1] != params.n_visible:
-        raise ValueError(
-            f"frame length {d.shape[-1]} does not match n_visible {params.n_visible}"
-        )
-    Z = d @ params.w1.T
-    Z += params.b1
+    return _tanh_layer(d, params.w1, params.b1, "d must be a frame (N,) or a batch (T, N) with N")
+
+
+def _tanh_layer(x, w: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """tanh(x @ w.T + b) on the last axis; a ValueError starting with what on a bad shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != w.shape[1]:
+        raise ValueError(f"{what} = {w.shape[1]}, got shape {x.shape}")
+    Z = x @ w.T
+    Z += b
     return np.tanh(Z, out=Z)
 
 
@@ -204,16 +203,7 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
 
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
     """Output-layer reconstruction d_hat = tanh(W2 s + b2) from a sparse code."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim == 0:
-        raise ValueError("s must be a code (L,) or a batch (T, L), got a 0-d value")
-    if s.shape[-1] != params.n_hidden:
-        raise ValueError(
-            f"code length {s.shape[-1]} does not match n_hidden {params.n_hidden}"
-        )
-    Z = s @ params.w2.T
-    Z += params.b2
-    return np.tanh(Z, out=Z)
+    return _tanh_layer(s, params.w2, params.b2, "s must be a code (L,) or a batch (T, L) with L")
 
 
 def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:

@@ -51,6 +51,13 @@ class CsvFormatError(ValueError):
     """Raised when a dataset file cannot be parsed."""
 
 
+def _seed(value) -> int:
+    """value as a non-negative Python int; a ValueError naming seed otherwise."""
+    if (seed := core._integer("seed", value)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive i.i.d. zero-mean Gaussian sensor noise."""
@@ -61,7 +68,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.variance < math.inf:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        object.__setattr__(self, "seed", core._integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -106,8 +113,7 @@ def load_csv(source) -> np.ndarray:
     cell-by-cell parser that names the first offending row and column, so
     every input gives the same array or the same error either way.  Of
     two faults, the first in reading order is named: a bad cell in row 1
-    before a byte that is not UTF-8 on line 3.  A stream that cannot seek
-    is read whole first.
+    before a byte that is not UTF-8 on line 3.
     """
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
@@ -116,23 +122,15 @@ def load_csv(source) -> np.ndarray:
         raw = source.read()
         source = io.BytesIO(raw) if isinstance(raw, (bytes, bytearray)) else io.StringIO(raw)
     start = source.tell()
-    X = _load_numeric(_text_lines(source))
+    X = _load_numeric(_utf8_lines(source))
     if X is None:
         source.seek(start)
         X = _load_rows(_utf8_lines(source))
     return X
 
 
-def _text_lines(stream):
-    """The lines of a text or bytes stream as str."""
-    lines = iter(stream)
-    first = next(lines, "")
-    lines = itertools.chain((first,), lines)
-    return lines if isinstance(first, str) else map(bytes.decode, lines)  # strict UTF-8
-
-
 def _utf8_lines(stream):
-    """_text_lines, with a CsvFormatError naming the line of a byte that is not UTF-8."""
+    """Lines of a text or bytes stream as str; a CsvFormatError names a line not UTF-8."""
     for n, line in enumerate(stream, start=1):
         if not isinstance(line, str):
             try:
@@ -163,7 +161,7 @@ def _load_numeric(lines) -> np.ndarray | None:
             else:
                 return None  # np.loadtxt would warn that it found no data
         X = np.loadtxt(itertools.chain(seen, lines), delimiter=",", comments=None, ndmin=2)
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error):  # CsvFormatError and UnicodeDecodeError are ValueErrors
         return None
     return X if X.size and np.isfinite(X).all() else None
 
@@ -265,6 +263,7 @@ def synthetic_field(
     """
     n_sensors = core._integer("n_sensors", n_sensors)
     n_samples = core._integer("n_samples", n_samples)
+    seed = _seed(seed)
     if n_sensors < 2:
         raise ValueError("need at least 2 sensors for a spatially correlated field")
     if n_samples < 1:

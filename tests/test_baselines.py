@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
 
+import ssae
 from ssae import baselines
 
 SIZES = (1, 2, 7, 23, 24)
@@ -46,6 +51,29 @@ def test_matches_reference_transform(kind, reference, n):
     sp = baselines.fit(kind, training(n))
     for x in training(n, seed=1):
         np.testing.assert_allclose(sp.transform(x), reference(x), rtol=0, atol=1e-12)
+    if kind == "dct":
+        # Makhoul's FFT basis is within rounding of scipy's; a closed-form
+        # cosine matrix is about 4e-15 off and fails this bound.
+        reference_basis = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
+        np.testing.assert_allclose(sp.components, reference_basis, rtol=0, atol=4e-16)
+
+
+def test_importing_the_library_imports_no_scipy():
+    # A fresh interpreter, so no scipy loaded by the tests themselves counts.
+    code = (
+        "import pkgutil, sys, ssae\n"
+        "for m in pkgutil.iter_modules(ssae.__path__):\n"
+        "    __import__('ssae.' + m.name)\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('ssae.')))\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    path = [os.path.dirname(os.path.dirname(ssae.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-X", "dev", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "ssae.baselines" in done.stdout.split()
 
 
 @pytest.mark.parametrize("kind,n", CASES)

@@ -460,6 +460,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             NoiseSpec(seed=seed)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: synthetic_field(5, 10, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: synthetic_field(5, 10, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: NoiseSpec(0.1, -1), "seed must be >= 0, got -1"),
+    ], ids=["field-float", "field-negative", "noise-negative"])
+    def test_bad_seed_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_numpy_integer_seed_is_a_python_int(self):
         spec = NoiseSpec(variance=0.1, seed=np.int64(4))
         assert type(spec.seed) is int and spec == NoiseSpec(variance=0.1, seed=4)
