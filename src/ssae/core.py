@@ -136,6 +136,13 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """value as a non-negative Python int; a ValueError naming seed otherwise."""
+    if (seed := _integer("seed", value)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest-magnitude entries along the last axis.
 
@@ -148,8 +155,6 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     L, k = h.shape[-1], _integer("k", k)
     if not 1 <= k <= L:
         raise ValueError(f"k must be in [1, {L}], got {k}")
-    if k == L:
-        return np.ones(h.shape, dtype=bool)
     # Sorting -|h| ranks NaN last, as the stable sort does, and keeping
     # what is not above the k-th value keeps at least k in every row.
     neg = np.abs(h)

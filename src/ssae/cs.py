@@ -64,9 +64,10 @@ def gaussian_sensing_matrix(m: int, l: int, seed: int = 0) -> np.ndarray:
     """I.i.d. Gaussian (M, L) matrix with entry variance 1/M.
 
     Columns then have unit expected squared norm, keeping measurements at
-    the scale of the code.  Deterministic given (m, l, seed).
+    the scale of the code.  Deterministic given (m, l, seed), so the seed
+    must be a non-negative integer.
     """
-    m, l = core._integer("m", m), core._integer("l", l)
+    m, l, seed = core._integer("m", m), core._integer("l", l), core._seed(seed)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > l:
@@ -119,10 +120,11 @@ def lasso_recover_batch(
     accepted.  Homotopy: each frame lowers its own penalty from max|phi^T y|
     (zero code) to lam, one active-set join or drop per step, retires there
     and meets KKT to rounding, whatever else is in its batch.  Frames still
-    moving after max_iter steps (default 8 * L) are named in a RuntimeWarning
-    and get the exact code at the penalty reached.  A non-finite entry of
-    phi raises a ValueError naming its row and column, and non-finite Y or
-    lam one naming the frame.  B=1: lasso_recover_batch(phi, y[None])[0].
+    moving after max_iter >= 0 steps (default 8 * L) are named in a
+    RuntimeWarning and get the exact code at the penalty reached.  A
+    non-finite entry of phi raises a ValueError naming its row and column,
+    and non-finite Y or lam one naming the frame.  B=1:
+    lasso_recover_batch(phi, y[None])[0].
 
     State is kept for live frames only.  Each holds its active set in up to
     min(M, L) slots and the inverse of G_AA over them, changed by one
@@ -147,14 +149,19 @@ def lasso_recover_batch(
     B, (M, L) = Y.shape[0], phi.shape
     G, C = phi.T @ phi, Y @ phi  # C holds phi^T y per frame
     lam0 = np.max(np.abs(C), axis=1, initial=0.0)
-    lam = np.broadcast_to(np.asarray(1e-4 * lam0 if lam is None else lam,
-                                     dtype=np.float64), (B,)).copy()
+    lam = np.asarray(1e-4 * lam0 if lam is None else lam, dtype=np.float64)
+    if lam.shape not in ((), (1,), (B,)):
+        raise ValueError(f"lam must be a scalar or one per frame for {B} frames, "
+                         f"got shape {lam.shape}")
+    lam = np.broadcast_to(lam, (B,)).copy()
     bad = ~(np.isfinite(lam) & (lam >= 0))
     if bad.any():
         raise ValueError(f"lam of frame {int(np.argmax(bad))} must be finite and >= 0")
+    max_iter = 8 * L if max_iter is None else core._integer("max_iter", max_iter)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if not L:  # a code of length 0 has nothing to recover
         return np.zeros((B, 0))
-    max_iter = 8 * L if max_iter is None else max_iter
     g = np.diag(G)
     # The later column of a twin pair (phi_j = +-phi_i) never joins: its
     # correlation always ties the earlier one's, and G_AA would be singular.

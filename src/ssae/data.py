@@ -4,7 +4,8 @@ A dataset is a plain float64 array of shape (T, N): one row per time
 instant, one column per sensor.  sphere_rows is the one sphering path: it
 maps each frame on the last axis, (N,) or (B, N), into [-1, 1] by removing
 its own mean and scaling by three dataset standard deviations; sphere is
-its B=1 case and desphere_rows the affine inverse.
+its B=1 case and desphere_rows the affine inverse.  generate_synthetic is
+the one synthetic source; its noiseless field is the variance-0 case.
 
 Memory: load_csv parses a clean log as a stream of lines, so its peak
 beyond the (T, N) array it returns is a few lines and the array's growth
@@ -35,7 +36,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "generate_synthetic",
-    "synthetic_field",
     "non_finite_error",
     "sphere",
     "sphere_rows",
@@ -51,13 +51,6 @@ class CsvFormatError(ValueError):
     """Raised when a dataset file cannot be parsed."""
 
 
-def _seed(value) -> int:
-    """value as a non-negative Python int; a ValueError naming seed otherwise."""
-    if (seed := core._integer("seed", value)) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive i.i.d. zero-mean Gaussian sensor noise."""
@@ -68,7 +61,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.variance < math.inf:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", core._seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -228,13 +221,6 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
                comments="", encoding="utf-8")
 
 
-def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    # Separate streams so the noiseless field is reproducible regardless of
-    # whether noise is added on top.
-    field_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(field_ss), np.random.default_rng(noise_ss)
-
-
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:
     """Stationary AR(1) series: low-pass random walk with the given std."""
     eps = rng.normal(size=n)
@@ -246,24 +232,29 @@ def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.n
     return std * out
 
 
-def synthetic_field(
+def generate_synthetic(
     n_sensors: int,
     n_samples: int,
     correlation_length: float = 4.0,
     base_signal_amplitude: float = 3.0,
-    seed: int = 0,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> np.ndarray:
-    """Noiseless correlated field sampled by a line of sensors.
+    """Synthetic readings of a line of sensors: a correlated field plus noise.
 
     Sensors sit at positions 1..N.  Each frame is a shared diurnal level
     plus a warm spot of spatial width ``correlation_length`` whose centre
     sweeps the array sinusoidally, perturbed by a low-pass random walk.
     Covariance between two sensors decays with their distance over the
     correlation length; correlation_length = inf makes all columns equal.
+    I.i.d. Gaussian noise of noise.variance is added on top; at variance 0
+    the field is returned as it is.
+
+    Deterministic given its arguments.  The field and the noise are drawn
+    from separate streams spawned from noise.seed, so the field never
+    depends on noise.variance.
     """
     n_sensors = core._integer("n_sensors", n_sensors)
     n_samples = core._integer("n_samples", n_samples)
-    seed = _seed(seed)
     if n_sensors < 2:
         raise ValueError("need at least 2 sensors for a spatially correlated field")
     if n_samples < 1:
@@ -273,7 +264,8 @@ def synthetic_field(
     if not math.isfinite(base_signal_amplitude):
         raise ValueError(f"base_signal_amplitude must be finite, got {base_signal_amplitude}")
 
-    rng, _ = _spawn_rngs(seed)
+    field_ss, noise_ss = np.random.SeedSequence(noise.seed).spawn(2)
+    rng = np.random.default_rng(field_ss)
     amp = float(base_signal_amplitude)
     pos = np.arange(1.0, n_sensors + 1.0)
     t = np.arange(n_samples, dtype=np.float64)
@@ -305,32 +297,9 @@ def synthetic_field(
     np.exp(field, out=field)
     field *= amp
     field += level[:, None]
-    return field
-
-
-def generate_synthetic(
-    n_sensors: int,
-    n_samples: int,
-    correlation_length: float = 4.0,
-    base_signal_amplitude: float = 3.0,
-    noise: NoiseSpec = NoiseSpec(),
-) -> np.ndarray:
-    """Synthetic readings: the noiseless field plus i.i.d. Gaussian noise.
-
-    Deterministic given its arguments; the field itself depends only on
-    noise.seed, never on noise.variance.
-    """
-    field = synthetic_field(
-        n_sensors,
-        n_samples,
-        correlation_length=correlation_length,
-        base_signal_amplitude=base_signal_amplitude,
-        seed=noise.seed,
-    )
     if noise.variance == 0.0:
         return field
-    _, noise_rng = _spawn_rngs(noise.seed)
-    z = noise_rng.normal(0.0, math.sqrt(noise.variance), size=field.shape)
+    z = np.random.default_rng(noise_ss).normal(0.0, math.sqrt(noise.variance), size=field.shape)
     z += field
     return z
 

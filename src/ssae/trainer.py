@@ -62,7 +62,7 @@ def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams
     n_hidden = core._integer("n_hidden", n_hidden)
     if n_visible < 1 or n_hidden < 1:
         raise ValueError("layer sizes must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(core._seed(seed))
     r = math.sqrt(6.0 / (n_visible + n_hidden))
     return core.SsaeParams(
         w1=rng.uniform(-r, r, size=(n_hidden, n_visible)),
@@ -107,8 +107,7 @@ def _two_loop(g, history):
     return q
 
 
-def _zoom(evaluate, x, d, f0, dphi0, iteration,
-          a_lo, f_lo, dphi_lo, a_hi, f_hi):
+def _zoom(evaluate, x, d, f0, dphi0, a_lo, f_lo, dphi_lo, a_hi, f_hi):
     """Narrow a bracketing interval until the strong Wolfe conditions hold.
 
     If the interval collapses before the curvature condition is met (the
@@ -126,7 +125,7 @@ def _zoom(evaluate, x, d, f0, dphi0, iteration,
         margin = 0.1 * abs(span)
         if not (lo + margin <= a <= hi - margin):
             a = a_lo + 0.5 * span
-        f_a, grad_a = evaluate(x + a * d, iteration)
+        f_a, grad_a = evaluate(x + a * d)
         if f_a <= f0 + WOLFE_C1 * a * dphi0 and (
             armijo_best is None or f_a < armijo_best[1]
         ):
@@ -146,7 +145,7 @@ def _zoom(evaluate, x, d, f0, dphi0, iteration,
     return armijo_best
 
 
-def _line_search(evaluate, x, f0, g0, d, iteration):
+def _line_search(evaluate, x, f0, g0, d):
     """Strong Wolfe search along d; returns (alpha, f, grad) or None."""
     dphi0 = g0 @ d
     if dphi0 >= 0:
@@ -154,17 +153,15 @@ def _line_search(evaluate, x, f0, g0, d, iteration):
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = 1.0
     for i in range(1, MAX_EXPAND + 1):
-        f_a, grad_a = evaluate(x + a * d, iteration)
+        f_a, grad_a = evaluate(x + a * d)
         if f_a > f0 + WOLFE_C1 * a * dphi0 or (i > 1 and f_a >= f_prev):
             del grad_a  # an unread grad holds its forward pass; free it first
-            return _zoom(evaluate, x, d, f0, dphi0, iteration,
-                         a_prev, f_prev, dphi_prev, a, f_a)
+            return _zoom(evaluate, x, d, f0, dphi0, a_prev, f_prev, dphi_prev, a, f_a)
         dphi_a = grad_a() @ d
         if abs(dphi_a) <= -WOLFE_C2 * dphi0:
             return a, f_a, grad_a
         if dphi_a >= 0:
-            return _zoom(evaluate, x, d, f0, dphi0, iteration,
-                         a, f_a, dphi_a, a_prev, f_prev)
+            return _zoom(evaluate, x, d, f0, dphi0, a, f_a, dphi_a, a_prev, f_prev)
         a_prev, f_prev, dphi_prev = a, f_a, dphi_a
         a *= 2.0
     return None
@@ -195,14 +192,14 @@ def minimize(
         raise ValueError("max_iterations must be >= 1")
     evaluations = gradients = 0
 
-    def evaluate(x, iteration):
+    def evaluate(x):
         """The objective at x, counted, f checked; grad() checks its array once."""
         nonlocal evaluations
         f, grad = objective(x)
         evaluations += 1
         f = float(f)
         if not math.isfinite(f):
-            raise FloatingPointError(f"non-finite cost at iteration {iteration}")
+            raise FloatingPointError(f"non-finite cost at iteration {it}")
         g = None
 
         def checked_grad():
@@ -212,7 +209,7 @@ def minimize(
                 gradients += 1
                 if not np.isfinite(g).all():
                     raise FloatingPointError(
-                        f"non-finite gradient at iteration {iteration}")
+                        f"non-finite gradient at iteration {it}")
                 if g.shape != x.shape:
                     raise ValueError(
                         f"gradient shape {g.shape} does not match parameter shape {x.shape}"
@@ -222,7 +219,8 @@ def minimize(
         return f, checked_grad
 
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, grad = evaluate(x, 0)
+    it = 0  # the iteration evaluate's errors name; x0 is iteration 0
+    f, grad = evaluate(x)
     g = grad()
     curve = [(0, f)]
     best_f, best_x = f, x.copy()
@@ -238,13 +236,13 @@ def minimize(
         d = -_two_loop(g, history)
         if d @ g >= 0:
             d = -g  # curvature history unusable, fall back to steepest descent
-        step = _line_search(evaluate, x, f, g, d, it)
+        step = _line_search(evaluate, x, f, g, d)
         if step is None and history:
             # Stale curvature pairs can poison the direction; drop them and
             # retry once from steepest descent before giving up.
             history.clear()
             d = -g
-            step = _line_search(evaluate, x, f, g, d, it)
+            step = _line_search(evaluate, x, f, g, d)
         if step is None:
             message = f"line search failed at iteration {it}"
             break
@@ -290,6 +288,7 @@ class TrainingConfig:
     def __post_init__(self):
         for name in ("n_hidden", "k_max", "folds", "max_iterations"):
             setattr(self, name, core._integer(name, getattr(self, name)))
+        self.seed = core._seed(self.seed)
         if self.n_hidden < 1:
             raise ValueError("n_hidden must be >= 1")
         if not 1 <= self.k_max <= self.n_hidden:

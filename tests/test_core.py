@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssae import core, trainer
+from ssae import core, cs, data, trainer
 from ssae.core import (
     SsaeParams,
     cost,
@@ -303,6 +304,29 @@ codes = st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(
         st.floats(-2.0, 2.0), st.just(0.0), st.floats(allow_nan=False))))
 
 
+# Every entry of the library that takes a seed, called with that seed.
+SEEDED_ENTRIES = {
+    "noise": lambda seed: data.NoiseSpec(0.1, seed),
+    "config": lambda seed: trainer.TrainingConfig(n_hidden=4, k_max=2, seed=seed),
+    "init": lambda seed: trainer.init_params(3, 4, seed),
+    "matrix": lambda seed: cs.gaussian_sensing_matrix(3, 4, seed),
+}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("entry", SEEDED_ENTRIES)
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+        (None, "seed must be an integer, got None"),
+    ], ids=["float", "negative", "none"])
+    def test_every_seeded_entry_names_a_bad_seed(self, entry, seed, message):
+        # None would draw fresh entropy: a matrix the base station cannot
+        # regenerate, a fit that cannot be repeated.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SEEDED_ENTRIES[entry](seed)
+
+
 class TestSparsityProperties:
     @settings(max_examples=200, deadline=None)
     @given(codes, st.data())
@@ -349,6 +373,8 @@ class TestShrinkMaskProperty:
     # under `neg <= thr` the first would keep none and the second all 2k.
     @example(H=np.array([[np.nan, 0.1, np.nan, -0.3, np.nan, np.nan],
                          [0.5, -0.5, 0.5, -0.5, 0.5, -0.5]]), rank=2)
+    # k = L keeps every entry by the threshold alone, NaN rows included.
+    @example(H=np.array([[np.nan, 0.3, np.nan], [0.5, -0.5, 0.0]]), rank=2)
     def test_matches_stable_argsort_reference(self, H, rank):
         k = 1 + rank % H.shape[-1]
         assert np.array_equal(shrink_mask(H, k), reference_shrink_mask(H, k))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -347,6 +348,20 @@ class TestLassoRecoverBatchErrors:
         phi[4, 17] = phi[6, 2] = np.nan
         with pytest.raises(ValueError, match="matrix row 4, column 17 is not finite: nan"):
             lasso_recover_batch(phi, np.ones((5, 12)), lam)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+        ({"lam": [0.1, 0.2]}, "lam must be a scalar or one per frame for 3 frames, got shape (2,)"),
+    ], ids=["max_iter-float", "max_iter-negative", "lam-length"])
+    def test_bad_max_iter_or_lam_shape_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lasso_recover_batch(gaussian_sensing_matrix(12, 25), np.ones((3, 12)), **kwargs)
+
+    def test_zero_max_iter_stops_every_frame_at_its_start(self):
+        with pytest.warns(RuntimeWarning, match=r"3 frame\(s\).*max_iter=0 steps"):
+            S = lasso_recover_batch(gaussian_sensing_matrix(12, 25), np.ones((3, 12)), max_iter=0)
+        np.testing.assert_allclose(S, 0.0, rtol=0, atol=1e-12)
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError, match="lam of frame 0 must be finite and >= 0"):

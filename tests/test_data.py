@@ -20,7 +20,6 @@ from ssae.data import (
     load_csv,
     sphere,
     sphere_rows,
-    synthetic_field,
     write_csv,
 )
 
@@ -406,7 +405,8 @@ class TestLoadCsvStream:
 
 def formula_generate(n_sensors, n_samples, correlation_length, amp, noise):
     """generate_synthetic as one formula per line, each an allocating expression."""
-    rng, noise_rng = data._spawn_rngs(noise.seed)
+    field_ss, noise_ss = np.random.SeedSequence(noise.seed).spawn(2)
+    rng = np.random.default_rng(field_ss)
     pos = np.arange(1.0, n_sensors + 1.0)
     phase = 2.0 * np.pi * np.arange(n_samples, dtype=np.float64) / data.DIURNAL_PERIOD
     phi0 = rng.uniform(0.0, 2.0 * np.pi)
@@ -421,6 +421,7 @@ def formula_generate(n_sensors, n_samples, correlation_length, amp, noise):
     field = level[:, None] + amp * np.exp(-0.5 * spread * spread)
     if noise.variance == 0.0:
         return field
+    noise_rng = np.random.default_rng(noise_ss)
     return field + noise_rng.normal(0.0, math.sqrt(noise.variance), size=field.shape)
 
 
@@ -461,8 +462,10 @@ class TestGenerateSynthetic:
             NoiseSpec(seed=seed)
 
     @pytest.mark.parametrize("call,message", [
-        (lambda: synthetic_field(5, 10, seed=1.5), "seed must be an integer, got 1.5"),
-        (lambda: synthetic_field(5, 10, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: generate_synthetic(5, 10, noise=NoiseSpec(0.0, 1.5)),
+         "seed must be an integer, got 1.5"),
+        (lambda: generate_synthetic(5, 10, noise=NoiseSpec(0.0, -1)),
+         "seed must be >= 0, got -1"),
         (lambda: NoiseSpec(0.1, -1), "seed must be >= 0, got -1"),
     ], ids=["field-float", "field-negative", "noise-negative"])
     def test_bad_seed_named(self, call, message):
@@ -476,9 +479,9 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_named(self, amp):
         with pytest.raises(ValueError, match="base_signal_amplitude must be finite"):
-            synthetic_field(5, 10, base_signal_amplitude=amp)
+            generate_synthetic(5, 10, base_signal_amplitude=amp, noise=NoiseSpec(0.0, 0))
         with pytest.raises(ValueError, match="base_signal_amplitude must be finite"):
-            generate_synthetic(5, 10, base_signal_amplitude=amp)
+            generate_synthetic(5, 10, base_signal_amplitude=amp, noise=NoiseSpec(0.1, 0))
 
     def test_fully_correlated_limit(self):
         X = generate_synthetic(6, 50, correlation_length=math.inf,
@@ -499,13 +502,17 @@ class TestGenerateSynthetic:
         # Law of large numbers against the generator's own noiseless field.
         spec = NoiseSpec(variance=1.0, seed=11)
         X = generate_synthetic(8, 10000, noise=spec)
-        clean = synthetic_field(8, 10000, seed=11)
+        clean = generate_synthetic(8, 10000, noise=NoiseSpec(0.0, 11))
         var = (X - clean).var(axis=0)
         assert np.all(np.abs(var - 1.0) < 0.2)
 
     def test_noiseless_equals_field(self):
-        X = generate_synthetic(4, 20, noise=NoiseSpec(variance=0.0, seed=5))
-        np.testing.assert_array_equal(X, synthetic_field(4, 20, seed=5))
+        # The noisy readings are the variance-0 field plus the seed's second
+        # stream, so the field does not depend on the variance.
+        X = generate_synthetic(4, 20, noise=NoiseSpec(variance=1.0, seed=5))
+        field = generate_synthetic(4, 20, noise=NoiseSpec(0.0, 5))
+        noise_rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+        assert X.tobytes() == (noise_rng.normal(0.0, 1.0, size=(20, 4)) + field).tobytes()
 
     def test_single_sensor_rejected(self):
         with pytest.raises(ValueError):
@@ -520,7 +527,7 @@ class TestGenerateSynthetic:
             generate_synthetic(n_sensors, n_samples)
 
     def test_spatial_correlation_decays(self):
-        X = synthetic_field(23, 4000, correlation_length=2.5, seed=0)
+        X = generate_synthetic(23, 4000, correlation_length=2.5, noise=NoiseSpec(0.0, 0))
         C = np.corrcoef(X.T)
         near = np.mean([C[i, i + 1] for i in range(22)])
         far = np.mean([C[i, i + 11] for i in range(12)])
@@ -725,7 +732,7 @@ class TestDatasetStd:
         X = generate_synthetic(10, 20000, correlation_length=3.0,
                                base_signal_amplitude=0.0,
                                noise=NoiseSpec(variance=1.0, seed=21))
-        clean = synthetic_field(10, 20000, correlation_length=3.0,
-                                base_signal_amplitude=0.0, seed=21)
+        clean = generate_synthetic(10, 20000, correlation_length=3.0,
+                                   base_signal_amplitude=0.0, noise=NoiseSpec(0.0, 21))
         expected = math.sqrt(clean.var() + 1.0)
         assert abs(dataset_std(X) - expected) / expected < 0.1

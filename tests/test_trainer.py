@@ -183,6 +183,10 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainingConfig(**{"n_hidden": 5, "k_max": 2, field: bad})
 
+    def test_numpy_integer_seed_is_a_python_int(self):
+        cfg = TrainingConfig(n_hidden=4, k_max=2, seed=np.int64(4))
+        assert type(cfg.seed) is int and cfg == TrainingConfig(n_hidden=4, k_max=2, seed=4)
+
     def test_auto_gamma(self):
         cfg = TrainingConfig(n_hidden=10, k_max=5)
         np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
