@@ -10,7 +10,10 @@ the one synthetic source; its noiseless field is the variance-0 case.
 Memory: load_csv parses a clean log as a stream of lines, so its peak
 beyond the (T, N) array it returns is a few lines and the array's growth
 slack.  No path holds the file, its text or its rows, except for a bare
-reader that cannot seek, which is read whole first.  generate_synthetic
+reader that cannot seek, which is read whole first.  write_csv formats
+and writes WRITE_BLOCK_ROWS rows at a time, to a path (plain UTF-8 text
+whatever its suffix, ".gz" too) or a text or bytes file object, so its
+peak beyond the matrix is one block of text.  generate_synthetic
 builds the field in one (T, N) buffer and adds it into the noise in
 place, so its peak is about two (T, N) arrays: the field and the spread
 it is computed from, or the field and the noise.
@@ -22,6 +25,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -45,6 +49,9 @@ __all__ = [
 
 # Samples per simulated day in the synthetic generator (2-minute sampling).
 DIURNAL_PERIOD = 720.0
+
+# Rows write_csv formats with one % and writes with one call.
+WRITE_BLOCK_ROWS = 128
 
 
 class CsvFormatError(ValueError):
@@ -205,7 +212,14 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     Values are printed with 17 significant digits so load_csv(write_csv(X))
     reproduces X bit-exactly.  A header cell that would not read back, one
     that is a number, holds a comma, quote or line break, or is longer than
-    csv.field_size_limit(), is rejected.
+    csv.field_size_limit(), is rejected; the header line is written only
+    when its text is not empty.
+
+    sink is a path (str or os.PathLike), opened for writing as UTF-8 text
+    whatever its suffix (a ".gz" path holds plain text, so it reads back),
+    or a file object, written as text or, if its write rejects str, as
+    UTF-8 bytes.  The text is formatted and written WRITE_BLOCK_ROWS rows
+    at a time, so the memory it takes beyond X is one block of text.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
@@ -216,9 +230,32 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
         if (any(c in cell for c in ',"\r\n') or _is_number(cell)
                 or len(cell) > csv.field_size_limit()):
             raise ValueError(f"header cell {j} would not read back: {cell!r}")
-    np.savetxt(sink, X, fmt="%.17g", delimiter=",",
-               header="" if header is None else ",".join(header),
-               comments="", encoding="utf-8")
+    if not hasattr(sink, "write"):
+        with open(os.fspath(sink), "w", encoding="utf-8") as fh:
+            return write_csv(X, fh, header)
+    out = _TextSink(sink)
+    if text := ",".join(header or ()):
+        out.write(text + "\n")
+    row = ",".join(["%.17g"] * X.shape[1]) + "\n"
+    for start in range(0, len(X), WRITE_BLOCK_ROWS):
+        block = X[start:start + WRITE_BLOCK_ROWS]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+class _TextSink:
+    """A file object's write for str; UTF-8 bytes if it rejects the first str."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, text: str) -> None:
+        try:
+            self.sink.write(text)
+        except TypeError:  # a bytes sink, as np.savetxt's wrapper finds it
+            self.sink.write(text.encode("utf-8"))
+            self.write = lambda text: self.sink.write(text.encode("utf-8"))
+        else:
+            self.write = self.sink.write
 
 
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:
@@ -289,10 +326,12 @@ def generate_synthetic(
 
     # level + amp * exp(-0.5 * spread * spread) in one (T, N) buffer, each
     # step with the formula's operands (or its commutative swap), bit for bit.
+    # A tiny correlation_length overflows spread to inf, and exp(-inf) = 0.
     spread = pos[None, :] - centre[:, None]
-    spread /= correlation_length
-    field = -0.5 * spread
-    field *= spread
+    with np.errstate(over="ignore"):
+        spread /= correlation_length
+        field = -0.5 * spread
+        field *= spread
     del spread
     np.exp(field, out=field)
     field *= amp

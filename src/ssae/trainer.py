@@ -188,7 +188,7 @@ def minimize(
     far with a warning message.  Raises FloatingPointError if a cost or a
     read gradient is ever non-finite.
     """
-    if max_iterations < 1:
+    if (max_iterations := core._integer("max_iterations", max_iterations)) < 1:
         raise ValueError("max_iterations must be >= 1")
     evaluations = gradients = 0
 

@@ -1,8 +1,10 @@
 import csv
 import io
 import math
+import pathlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +233,68 @@ EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308,
 csv_matrices = st.tuples(st.integers(1, 12), st.integers(1, 8)).flatmap(
     lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
         st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES))))
+
+
+def savetxt_bytes(X, header=None) -> bytes:
+    """What np.savetxt writes for write_csv's arguments: the reference text."""
+    sink = io.BytesIO()
+    np.savetxt(sink, X, fmt="%.17g", delimiter=",",
+               header="" if header is None else ",".join(header),
+               comments="", encoding="utf-8")
+    return sink.getvalue()
+
+
+class TestWriteCsvBlocks:
+    """write_csv writes np.savetxt's bytes, WRITE_BLOCK_ROWS rows at a time."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("n_cols", [0, 1, 23])
+    @pytest.mark.parametrize("named", [False, True])
+    def test_bytes_equal_savetxt(self, n_rows, n_cols, named):
+        rng = np.random.default_rng(n_rows * 100 + n_cols)
+        X = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
+        header = [f"s{j}" for j in range(n_cols)] if named else None
+        sink = io.BytesIO()
+        write_csv(X, sink, header=header)
+        assert sink.getvalue() == savetxt_bytes(X, header)
+
+    def test_empty_header_writes_no_line(self):
+        X = np.zeros((3, 0))
+        sink = io.StringIO()
+        write_csv(X, sink, header=[])
+        assert sink.getvalue() == savetxt_bytes(X, []).decode() == "\n\n\n"
+
+    def test_every_sink_gets_the_same_bytes(self, tmp_path):
+        X = generate_synthetic(23, 300, noise=NoiseSpec(variance=0.01, seed=3))
+        header = [f"s{j}" for j in range(23)]
+        expected = savetxt_bytes(X, header)
+        for path in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
+            write_csv(X, path, header=header)
+            assert pathlib.Path(path).read_bytes() == expected
+        text, raw = io.StringIO(), io.BytesIO()
+        write_csv(X, text, header=header)
+        write_csv(X, raw, header=header)
+        assert text.getvalue().encode("utf-8") == raw.getvalue() == expected
+
+    def test_file_descriptor_is_not_a_path(self):
+        with pytest.raises(TypeError):
+            write_csv(np.zeros((1, 1)), 1)
+
+    def test_gz_path_is_plain_text_that_reads_back(self, tmp_path):
+        X = generate_synthetic(23, 200, noise=NoiseSpec(variance=0.01, seed=3))
+        path = tmp_path / "log.csv.gz"
+        write_csv(X, path)
+        assert path.read_bytes() == savetxt_bytes(X)
+        assert same_bits(load_csv(path), X)
+
+    def test_traced_peak_is_one_block(self, tmp_path):
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
+        path = tmp_path / "log.csv"
+        header = [f"s{j}" for j in range(23)]
+        outcome, peak = traced(lambda p: write_csv(X, p, header=header), path)
+        assert outcome is None
+        assert peak <= 0.1 * X.nbytes, peak / X.nbytes
+        assert path.read_bytes() == savetxt_bytes(X, header)
 
 
 class TestWriteCsvProperties:
@@ -525,6 +589,19 @@ class TestGenerateSynthetic:
         bad = n_sensors if name == "n_sensors" else n_samples
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad}"):
             generate_synthetic(n_sensors, n_samples)
+
+    @pytest.mark.parametrize("correlation_length", [1e-300, 5e-324])
+    def test_tiny_correlation_length_is_the_level(self, correlation_length):
+        # The spread overflows to inf and exp(-inf) = 0, so each reading is
+        # its row's level: the infinite-length field, level + amp, minus amp.
+        # A centre exactly on a sensor leaves that reading at level + amp.
+        amp, noise = 3.0, NoiseSpec(0.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = generate_synthetic(23, 2000, correlation_length, amp, noise)
+        flat = generate_synthetic(23, 2000, math.inf, amp, noise)
+        assert np.isfinite(X).all()
+        assert ((X + amp == flat) | (X == flat)).all()
 
     def test_spatial_correlation_decays(self):
         X = generate_synthetic(23, 4000, correlation_length=2.5, noise=NoiseSpec(0.0, 0))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,17 @@ class TestMinimize:
 
         with pytest.raises(FloatingPointError, match="non-finite gradient at iteration 0"):
             minimize(objective, np.zeros(2), max_iterations=5)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, "3", None])
+    def test_non_integer_max_iterations_named(self, max_iterations):
+        def objective(x):
+            return float(x @ x), lambda: 2.0 * x
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iterations must be an integer, got {max_iterations!r}")):
+            minimize(objective, np.ones(2), max_iterations=max_iterations)
+        res = minimize(objective, np.ones(2), max_iterations=np.int64(3))
+        assert res.curve[-1][0] <= 3
 
 
 class TestTrainingConfig:
