@@ -211,17 +211,17 @@ def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
     return _tanh_layer(s, params.w2, params.b2, "s must be a code (L,) or a batch (T, L) with L")
 
 
-def _check_batch(params: SsaeParams, D: np.ndarray) -> np.ndarray:
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim == 1:
-        D = D[None, :]
-    if D.ndim != 2 or D.shape[1] != params.n_visible:
-        raise ValueError(
-            f"expected frames of length {params.n_visible}, got shape {D.shape}"
-        )
-    if D.shape[0] == 0:
-        raise ValueError("empty training batch")
-    return D
+def _check_batch(params: SsaeParams, X, what: str) -> np.ndarray:
+    """A frame (N,) or batch (T, N), T >= 1, N = n_visible, as (T, N); errors name what X is."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2) or X.shape[-1] != params.n_visible:
+        N = params.n_visible
+        raise ValueError(f"{what} must be a frame ({N},) or a batch (T, {N}), got shape {X.shape}")
+    if X.ndim == 1:
+        X = X[None, :]
+    if not X.shape[0]:
+        raise ValueError(f"empty {what} of shape {X.shape}")
+    return X
 
 
 def cost(
@@ -262,7 +262,7 @@ def gradient(
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    D = _check_batch(params, D)
+    D = _check_batch(params, D, "training batch")
     T = D.shape[0]
     H = hidden_activation(params, D)
     mask = shrink_mask(H, k)

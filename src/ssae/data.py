@@ -99,7 +99,7 @@ def _is_header(row: list[str]) -> bool:
 
 
 def load_csv(source) -> np.ndarray:
-    """Read a (T, N) dataset from a path, or a text or bytes file object.
+    """Read a (T, N) dataset from a path (str or os.PathLike), or a text or bytes file object.
 
     Accepts an optional header row (a first row whose fields are all
     non-numeric).  Raises CsvFormatError naming the offending row/column
@@ -116,7 +116,7 @@ def load_csv(source) -> np.ndarray:
     before a byte that is not UTF-8 on line 3.
     """
     if not hasattr(source, "read"):
-        with open(source, "rb") as fh:
+        with open(os.fspath(source), "rb") as fh:
             return load_csv(fh)
     if not (hasattr(source, "seekable") and source.seekable()):
         raw = source.read()
@@ -217,9 +217,10 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
 
     sink is a path (str or os.PathLike), opened for writing as UTF-8 text
     whatever its suffix (a ".gz" path holds plain text, so it reads back),
-    or a file object, written as text or, if its write rejects str, as
-    UTF-8 bytes.  The text is formatted and written WRITE_BLOCK_ROWS rows
-    at a time, so the memory it takes beyond X is one block of text.
+    or a file object, written as text or, if writing "" to it raises
+    TypeError, as UTF-8 bytes.  The text is formatted and written
+    WRITE_BLOCK_ROWS rows at a time, so the memory it takes beyond X is
+    one block of text.
     """
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2:
@@ -233,29 +234,18 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     if not hasattr(sink, "write"):
         with open(os.fspath(sink), "w", encoding="utf-8") as fh:
             return write_csv(X, fh, header)
-    out = _TextSink(sink)
+    write = sink.write
+    try:
+        write("")
+    except TypeError:  # a bytes sink, as np.savetxt's wrapper finds it
+        def write(text: str) -> None:
+            sink.write(text.encode("utf-8"))
     if text := ",".join(header or ()):
-        out.write(text + "\n")
+        write(text + "\n")
     row = ",".join(["%.17g"] * X.shape[1]) + "\n"
     for start in range(0, len(X), WRITE_BLOCK_ROWS):
         block = X[start:start + WRITE_BLOCK_ROWS]
-        out.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
-class _TextSink:
-    """A file object's write for str; UTF-8 bytes if it rejects the first str."""
-
-    def __init__(self, sink):
-        self.sink = sink
-
-    def write(self, text: str) -> None:
-        try:
-            self.sink.write(text)
-        except TypeError:  # a bytes sink, as np.savetxt's wrapper finds it
-            self.sink.write(text.encode("utf-8"))
-            self.write = lambda text: self.sink.write(text.encode("utf-8"))
-        else:
-            self.write = self.sink.write
+        write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:

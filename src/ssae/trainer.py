@@ -26,7 +26,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingReport",
     "MinimizeResult",
-    "gamma_for_eta",
     "init_params",
     "minimize",
     "fit",
@@ -43,17 +42,6 @@ MAX_ZOOM = 30  # zoom trials before it settles for the best sufficient decrease
 
 # Most rows evaluate_rmse scores at once.
 SCORE_BLOCK_ROWS = 4096
-
-
-def gamma_for_eta(eta: float) -> float:
-    """Sparsity-penalty schedule: gamma = 0.26 - 0.26 * eta.
-
-    Fitted line through hand-tuned penalties at two sparsity ratios; at
-    eta = 1 (no pruning) the penalty vanishes.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"sparsity ratio must be in (0, 1], got {eta}")
-    return 0.26 - 0.26 * eta
 
 
 def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams:
@@ -74,7 +62,7 @@ def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams
 
 @dataclass
 class MinimizeResult:
-    """Outcome of an L-BFGS run: best point seen plus the cost trace.
+    """Outcome of an L-BFGS run: x, the last point taken (the lowest cost seen), and the trace.
 
     evaluations counts objective calls and gradients the grad() calls
     among them; a line-search trial whose slope is never read costs an
@@ -183,13 +171,17 @@ def minimize(
     and at the point the search returns.  MinimizeResult.evaluations and
     .gradients count objective and grad() calls.
 
-    Stops at max_iterations or when the relative cost decrease falls below
-    convergence_tol; a failed line search returns the best point seen so
-    far with a warning message.  Raises FloatingPointError if a cost or a
-    read gradient is ever non-finite.
+    Stops at max_iterations, at a failed line search with a warning
+    message, or when the relative cost decrease falls below convergence_tol
+    (finite, > 0).  A step that does not lower the cost is not taken and
+    ends the run, so x is the last point taken, the lowest cost seen.
+    Raises FloatingPointError if a cost or a read gradient is ever
+    non-finite.
     """
     if (max_iterations := core._integer("max_iterations", max_iterations)) < 1:
         raise ValueError("max_iterations must be >= 1")
+    if not 0 < convergence_tol < math.inf:
+        raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
     evaluations = gradients = 0
 
     def evaluate(x):
@@ -223,7 +215,6 @@ def minimize(
     f, grad = evaluate(x)
     g = grad()
     curve = [(0, f)]
-    best_f, best_x = f, x.copy()
     history = []  # the latest (s, y, 1/s.y) curvature pairs, oldest first
     converged = False
     message = "max iterations reached"
@@ -255,17 +246,16 @@ def minimize(
         if sy > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
             history.append((s_vec, y_vec, 1.0 / sy))
             del history[:-HISTORY_SIZE]
-        drop = f - f_new
-        x, f, g = x_new, f_new, g_new
-        curve.append((it, f))
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        if drop / max(abs(f) , 1e-300) < convergence_tol:
+        drop = f - f_new  # >= 0: every step the search returns passes sufficient decrease
+        curve.append((it, f_new))
+        if drop > 0:
+            x, f, g = x_new, f_new, g_new
+        if drop / max(abs(f), 1e-300) < convergence_tol:
             converged = True
             message = f"converged at iteration {it}"
             break
 
-    return MinimizeResult(x=best_x, curve=curve, converged=converged, message=message,
+    return MinimizeResult(x=x, curve=curve, converged=converged, message=message,
                           evaluations=evaluations, gradients=gradients)
 
 
@@ -273,8 +263,10 @@ def minimize(
 class TrainingConfig:
     """Knobs of the offline training run.
 
-    gamma is a number or "auto"; auto derives the penalty from the
-    sparsity ratio k_max / n_hidden via gamma_for_eta.
+    gamma is a number or "auto", which resolve_gamma turns into
+    0.26 - 0.26 * eta for the sparsity ratio eta = k_max / n_hidden: a line
+    fitted through hand-tuned penalties at two sparsity ratios, on which
+    the penalty vanishes at eta = 1 (no pruning).
     """
 
     n_hidden: int
@@ -309,7 +301,7 @@ class TrainingConfig:
 
     def resolve_gamma(self) -> float:
         if self.gamma == "auto":
-            return gamma_for_eta(self.k_max / self.n_hidden)
+            return 0.26 - 0.26 * (self.k_max / self.n_hidden)
         return float(self.gamma)
 
 
@@ -436,17 +428,9 @@ def evaluate_rmse(
     value is bit for bit the unblocked formula's: no block has one row
     unless T = 1, since a 1-row matmul takes BLAS's matrix-vector path.
     """
-    X_test = np.asarray(X_test, dtype=np.float64)
-    if X_test.ndim == 1:
-        X_test = X_test[None, :]
-    if X_test.ndim != 2:
-        raise ValueError(f"expected a frame or a 2-D matrix, got shape {X_test.shape}")
-    if X_test.shape[1] != params.n_visible:
-        raise ValueError(
-            f"test matrix has {X_test.shape[1]} columns, model expects {params.n_visible}"
-        )
-    if not X_test.shape[0]:
-        raise ValueError(f"empty test matrix of shape {X_test.shape}")
+    X_test = core._check_batch(params, X_test, "test matrix")
+    if not np.isfinite(X_test).all():
+        raise data.non_finite_error(X_test)
     X_hat = np.empty(X_test.shape)
     n_blocks = -(-X_test.shape[0] // SCORE_BLOCK_ROWS)
     for X, out in zip(np.array_split(X_test, n_blocks), np.array_split(X_hat, n_blocks)):

@@ -1,6 +1,8 @@
 import csv
+import gzip
 import io
 import math
+import os
 import pathlib
 import re
 import tracemalloc
@@ -62,6 +64,17 @@ class TestLoadCsv:
     def test_bytes_stream(self):
         X = load_csv(io.BytesIO(b"1,2\n"))
         np.testing.assert_array_equal(X, [[1.0, 2.0]])
+
+    def test_file_descriptor_is_not_a_path(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("1,2\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(TypeError):
+                load_csv(fd)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
 
     def test_text_is_not_a_source(self):
         with pytest.raises(FileNotFoundError):
@@ -275,6 +288,13 @@ class TestWriteCsvBlocks:
         write_csv(X, text, header=header)
         write_csv(X, raw, header=header)
         assert text.getvalue().encode("utf-8") == raw.getvalue() == expected
+        with open(tmp_path / "binary.csv", "wb") as fh:
+            write_csv(X, fh, header=header)
+        assert (tmp_path / "binary.csv").read_bytes() == expected
+        with gzip.open(tmp_path / "log.csv.gz", "wb") as fh:
+            write_csv(X, fh, header=header)
+        with gzip.open(tmp_path / "log.csv.gz", "rb") as fh:
+            assert fh.read() == expected
 
     def test_file_descriptor_is_not_a_path(self):
         with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -11,31 +12,10 @@ from ssae.trainer import (
     TrainingConfig,
     evaluate_rmse,
     fit,
-    gamma_for_eta,
     init_params,
     minimize,
     train,
 )
-
-
-class TestGammaForEta:
-    def test_endpoint(self):
-        assert gamma_for_eta(1.0) == 0.0
-
-    def test_table_operating_point(self):
-        # The sparsity ratio is the share of the L code units that survive
-        # shrinking, K/L; it is the ratio the trainer and the bench use.
-        g = gamma_for_eta(5.0 / 25.0)
-        assert TrainingConfig(n_hidden=25, k_max=5).resolve_gamma() == g
-        assert 0.195 <= g <= 0.21
-
-    def test_half(self):
-        np.testing.assert_allclose(gamma_for_eta(0.5), 0.13, rtol=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, -0.1, 1.0001):
-            with pytest.raises(ValueError):
-                gamma_for_eta(bad)
 
 
 class TestInitParams:
@@ -172,6 +152,26 @@ class TestMinimize:
         res = minimize(objective, np.ones(2), max_iterations=np.int64(3))
         assert res.curve[-1][0] <= 3
 
+    def test_step_that_keeps_the_cost_is_not_taken_and_ends_the_run(self):
+        # c1 * alpha * phi'(0) is far below the last bit of 1.0, so every
+        # trial passes sufficient decrease and none lowers the cost.
+        def objective(x):
+            return 1.0, lambda: np.full_like(x, 1e-13)
+
+        x0 = np.array([0.25, -3.0])
+        res = minimize(objective, x0, max_iterations=10)
+        assert res.converged and res.message == "converged at iteration 1"
+        assert res.x.tobytes() == x0.tobytes()
+        assert res.curve == [(0, 1.0), (1, 1.0)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan, math.inf])
+    def test_convergence_tol_must_be_finite_and_positive(self, tol):
+        def objective(x):
+            return float(x @ x), lambda: 2.0 * x
+
+        with pytest.raises(ValueError, match="convergence_tol must be finite and > 0"):
+            minimize(objective, np.ones(2), max_iterations=5, convergence_tol=tol)
+
 
 class TestTrainingConfig:
     def test_validation(self):
@@ -202,6 +202,18 @@ class TestTrainingConfig:
     def test_auto_gamma(self):
         cfg = TrainingConfig(n_hidden=10, k_max=5)
         np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
+
+    def test_auto_gamma_vanishes_without_pruning(self):
+        assert TrainingConfig(n_hidden=7, k_max=7).resolve_gamma() == 0.0
+
+    def test_auto_gamma_at_the_table_operating_point(self):
+        # The sparsity ratio is the share of the L code units that survive
+        # shrinking, K/L; it is the ratio the trainer and the bench use.
+        assert 0.195 <= TrainingConfig(n_hidden=25, k_max=5).resolve_gamma() <= 0.21
+
+    def test_auto_gamma_follows_a_replaced_k_max(self):
+        cfg = dataclasses.replace(TrainingConfig(n_hidden=10, k_max=2), k_max=5)
+        assert cfg.resolve_gamma() == TrainingConfig(n_hidden=10, k_max=5).resolve_gamma()
 
 
 def tiny_dataset(seed=0, n_sensors=6, n_samples=60):
@@ -312,6 +324,13 @@ class TestEvaluateRmse:
     def test_zero_d_matrix_names_its_shape(self):
         with pytest.raises(ValueError, match=r"got shape \(\)"):
             evaluate_rmse(init_params(3, 4), 1.0, np.float64(2.0), 2)
+
+    def test_non_finite_entry_named_by_its_row_of_the_test_matrix(self, scoring_case):
+        p, sigma, X = scoring_case
+        X = X[:10_000].copy()
+        X[5000, 7] = np.nan
+        with pytest.raises(ValueError, match=r"^frame 5000, sensor 7 is not finite: nan$"):
+            evaluate_rmse(p, sigma, X, 5)
 
     def test_empty_test_matrix_rejected(self):
         p = init_params(23, 25, seed=0)
