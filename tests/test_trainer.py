@@ -173,6 +173,15 @@ class TestMinimize:
             minimize(objective, np.ones(2), max_iterations=5, convergence_tol=tol)
 
 
+class TestGammaForEta:
+    """The "auto" gamma is a function of the sparsity ratio eta = K/L alone."""
+
+    def test_half(self):
+        for n_hidden in (2, 10, 24, 100):
+            cfg = TrainingConfig(n_hidden=n_hidden, k_max=n_hidden // 2)
+            np.testing.assert_allclose(cfg.resolve_gamma(), 0.13, rtol=1e-12)
+
+
 class TestTrainingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
