@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import core, data
+from . import core
 
 __all__ = ["Sparsifier", "DctSparsifier", "DftSparsifier", "PcaSparsifier", "fit"]
 
@@ -62,8 +62,7 @@ class Sparsifier:
         A non-finite reading raises a ValueError naming its frame and sensor.
         """
         x = self._rows(x, "frame")
-        if not np.logical_and.reduce(np.isfinite(x), axis=None):  # .all() without its wrapper
-            raise data.non_finite_error(x)
+        core._finite(x)
         return (x - self.mean) @ self.components.T
 
     def encode(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -121,14 +120,11 @@ class PcaSparsifier(Sparsifier):
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "PcaSparsifier":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"expected a 2-D training matrix, got {X.shape}")
+        X = core._matrix(X, "training matrix")
         T, N = X.shape
         if T < N:
             raise ValueError(f"PCA needs at least N={N} rows, got {T}")
-        if not np.isfinite(X).all():
-            raise data.non_finite_error(X, "training frame")
+        core._finite(X, "training frame")
         mean = X.mean(axis=0)
         centered = X - mean
         cov = centered.T @ centered / T
@@ -143,14 +139,12 @@ def fit(kind: str, X: np.ndarray) -> Sparsifier:
     DCT and DFT ignore the data apart from its width; PCA eigendecomposes
     the column covariance.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D training matrix, got {X.shape}")
     kind = kind.lower()
-    if kind == "dct":
-        return DctSparsifier(X.shape[1])
-    if kind == "dft":
-        return DftSparsifier(X.shape[1])
     if kind == "pca":
         return PcaSparsifier.fit(X)
+    n = core._matrix(X, "training matrix").shape[1]
+    if kind == "dct":
+        return DctSparsifier(n)
+    if kind == "dft":
+        return DftSparsifier(n)
     raise ValueError(f"unknown sparsifier kind {kind!r}; expected one of {KINDS}")

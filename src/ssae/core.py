@@ -32,6 +32,7 @@ in the operand order of the formulas above, so its bits equal theirs.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -143,6 +144,28 @@ def _seed(value) -> int:
     return seed
 
 
+def _finite(X: np.ndarray, what: str = "frame", part: str = "sensor") -> None:
+    """A ValueError naming the first non-finite entry of X, with X taken as (-1, X.shape[-1]).
+
+    A NaN or inf makes X's sum of squares non-finite; only then, or when that
+    sum overflows, is X searched, so finite input costs one BLAS dot.
+    """
+    if not math.isfinite(np.vdot(X, X)):
+        X = X.reshape(-1, X.shape[-1])
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:  # else the sum of squares overflowed
+            t, n = bad[0]
+            raise ValueError(f"{what} {t}, {part} {n} is not finite: {X[t, n]}")
+
+
+def _matrix(X, what: str = "matrix") -> np.ndarray:
+    """X as a float64 array; a ValueError naming what unless it is 2-D."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D {what}, got shape {X.shape}")
+    return X
+
+
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest-magnitude entries along the last axis.
 
@@ -160,7 +183,7 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     neg = np.abs(h)
     np.negative(neg, out=neg)
     srt = neg.copy()
-    srt.sort(axis=-1)  # np.sort(neg, axis=-1) without its Python wrapper
+    srt.sort(axis=-1)
     mask = ~(neg > srt[..., k - 1, None])
     if np.count_nonzero(mask) != k * (mask.size // L):
         redo = np.count_nonzero(mask, axis=-1) != k
@@ -174,7 +197,7 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
 def shrink(h: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries at their exact values, zero the rest."""
     h = np.asarray(h, dtype=np.float64)
-    out = np.zeros(h.shape)  # np.where(mask, h, 0.0), bit for bit, at less cost per call
+    out = np.zeros(h.shape)
     np.copyto(out, h, where=shrink_mask(h, k))
     return out
 
@@ -194,7 +217,7 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     f = 10.0 ** places
     whole = 2.0 ** 52 / f
     r = np.abs(s)
-    # r.max(initial=0.0) without its Python wrapper; NaN and inf fail it too
+    # NaN and inf fail this test too
     if not np.maximum.reduce(r, axis=None, initial=0.0) < whole:
         small = r < whole
         return np.where(small, round_code(np.where(small, s, 0.0), places), s)

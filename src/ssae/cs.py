@@ -46,7 +46,7 @@ class Measurement:
     @property
     def payload(self) -> np.ndarray:
         """All transmitted values: y followed by the frame mean (M + 1 numbers)."""
-        out = np.empty(len(self.y) + 1)  # np.concatenate([y, [mean]]), bit for bit
+        out = np.empty(len(self.y) + 1)
         out[:-1] = self.y
         out[-1] = self.frame_mean
         return out
@@ -123,7 +123,7 @@ def lasso_recover_batch(
     moving after max_iter >= 0 steps (default 8 * L) are named in a
     RuntimeWarning and get the exact code at the penalty reached.  A
     non-finite entry of phi raises a ValueError naming its row and column,
-    and non-finite Y or lam one naming the frame.  B=1:
+    one of Y its frame and measurement, and one of lam its frame.  B=1:
     lasso_recover_batch(phi, y[None])[0].
 
     State is kept for live frames only.  Each holds its active set in up to
@@ -139,13 +139,8 @@ def lasso_recover_batch(
         raise ValueError(
             f"matrix {phi.shape} and measurements {Y.shape} are not compatible"
         )
-    bad = np.argwhere(~np.isfinite(phi))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"matrix row {i}, column {j} is not finite: {phi[i, j]}")
-    bad = ~np.isfinite(Y).all(axis=1)
-    if bad.any():
-        raise ValueError(f"measurements of frame {int(np.argmax(bad))} are not finite")
+    core._finite(phi, "matrix row", "column")
+    core._finite(Y, "frame", "measurement")
     B, (M, L) = Y.shape[0], phi.shape
     G, C = phi.T @ phi, Y @ phi  # C holds phi^T y per frame
     lam0 = np.max(np.abs(C), axis=1, initial=0.0)

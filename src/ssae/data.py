@@ -40,7 +40,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "generate_synthetic",
-    "non_finite_error",
     "sphere",
     "sphere_rows",
     "desphere_rows",
@@ -210,8 +209,10 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     """Write a (T, N) dataset as CSV at full double precision.
 
     Values are printed with 17 significant digits so load_csv(write_csv(X))
-    reproduces X bit-exactly.  A header cell that would not read back, one
-    that is a number, holds a comma, quote or line break, or is longer than
+    reproduces X bit-exactly.  A non-finite value, which load_csv rejects,
+    raises a ValueError naming its frame and sensor before anything is
+    opened or written.  A header cell that would not read back, one that
+    is a number, holds a comma, quote or line break, or is longer than
     csv.field_size_limit(), is rejected; the header line is written only
     when its text is not empty.
 
@@ -222,9 +223,8 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     WRITE_BLOCK_ROWS rows at a time, so the memory it takes beyond X is
     one block of text.
     """
-    X = np.asarray(matrix, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    X = core._matrix(matrix)
+    core._finite(X)
     if header is not None and len(header) != X.shape[1]:
         raise ValueError("header length does not match column count")
     for j, cell in enumerate(header or (), start=1):
@@ -251,12 +251,13 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:
     """Stationary AR(1) series: low-pass random walk with the given std."""
     eps = rng.normal(size=n)
-    out = np.empty(n)
-    out[0] = eps[0]
     scale = math.sqrt(1.0 - smoothing * smoothing)
-    for t in range(1, n):
-        out[t] = smoothing * out[t - 1] + scale * eps[t]
-    return std * out
+    # Python floats are fast here; an array("d") keeps none beyond its step.
+    out = array("d", [prev := float(eps[0])])
+    for e in memoryview(eps)[1:]:
+        prev = smoothing * prev + scale * e
+        out.append(prev)
+    return std * np.frombuffer(out)
 
 
 def generate_synthetic(
@@ -333,18 +334,6 @@ def generate_synthetic(
     return z
 
 
-def non_finite_error(X: np.ndarray, what: str = "frame") -> ValueError:
-    """The ValueError naming the first non-finite frame and sensor of X.
-
-    X is a frame (N,), named as frame 0, or a batch (B, N) with a
-    non-finite entry.  Callers build it only after their one-reduce check
-    of the whole array fails, so finite input pays nothing more.
-    """
-    X = X.reshape(-1, X.shape[-1])
-    t, n = np.argwhere(~np.isfinite(X))[0]
-    return ValueError(f"{what} {t}, sensor {n} is not finite: {X[t, n]}")
-
-
 def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
     """Sphere one frame (N,): sphere_rows at B=1, returned as a SpheredFrame."""
     x = np.asarray(x, dtype=np.float64)
@@ -364,11 +353,10 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a frame or a 2-D matrix, got shape {X.shape}")
     if not X.shape[-1]:
         raise ValueError(f"frames have no sensors, got shape {X.shape}")
-    if not np.logical_and.reduce(np.isfinite(X), axis=None):  # .all() without its wrapper
-        raise non_finite_error(X)
+    core._finite(X)
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    means = np.add.reduce(X, axis=-1) / X.shape[-1]  # X.mean(axis=-1), bit for bit
+    means = np.add.reduce(X, axis=-1) / X.shape[-1]
     # Bit-identical to clip(X - mean, +-3 sigma) / (3 sigma): division is monotone.
     D = X - means[..., None]
     D /= 3.0 * sigma
@@ -402,8 +390,7 @@ def dataset_std(X: np.ndarray) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.size < 2:
         raise ValueError("need at least 2 entries to measure spread")
-    if not np.isfinite(X).all():
-        raise non_finite_error(X)
+    core._finite(X)
     s = float(X.std())
     if s == 0.0:
         raise ValueError("constant matrix: standard deviation is zero")

@@ -358,9 +358,7 @@ def fit(X: np.ndarray, config: TrainingConfig):
     Returns (params, sigma, curve).  Used by benchmarks where the
     train/test split is managed by the caller.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    X = core._matrix(X)
     sigma = data.dataset_std(X)
     params, res = _fit_rows(X, sigma, config.resolve_gamma(), config)
     return params, sigma, res.curve
@@ -375,9 +373,7 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     Every fold starts from the same initial parameters.  The returned
     parameters are the final fold's model.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
+    X = core._matrix(X)
     T = X.shape[0]
     if T < config.folds:
         raise ValueError(f"need at least folds={config.folds} rows, got {T}")
@@ -429,8 +425,7 @@ def evaluate_rmse(
     unless T = 1, since a 1-row matmul takes BLAS's matrix-vector path.
     """
     X_test = core._check_batch(params, X_test, "test matrix")
-    if not np.isfinite(X_test).all():
-        raise data.non_finite_error(X_test)
+    core._finite(X_test)
     X_hat = np.empty(X_test.shape)
     n_blocks = -(-X_test.shape[0] // SCORE_BLOCK_ROWS)
     for X, out in zip(np.array_split(X_test, n_blocks), np.array_split(X_hat, n_blocks)):

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssae import core, cs, data, trainer
+from ssae import baselines, core, cs, data, trainer
 from ssae.core import (
     SsaeParams,
     cost,
@@ -325,6 +326,67 @@ class TestSeed:
         # regenerate, a fit that cannot be repeated.
         with pytest.raises(ValueError, match=re.escape(message)):
             SEEDED_ENTRIES[entry](seed)
+
+
+# Every entry of the library that checks an array for non-finite entries,
+# called with an (8, 5) array, and the names its error gives a row and a column.
+FINITE_ENTRIES = {
+    "sphere_rows": (lambda X: data.sphere_rows(X, 1.0), "frame", "sensor"),
+    "dataset_std": (data.dataset_std, "frame", "sensor"),
+    "write_csv": (lambda X: data.write_csv(X, io.StringIO()), "frame", "sensor"),
+    "transform": (lambda X: baselines.DctSparsifier(5).transform(X), "frame", "sensor"),
+    "encode": (lambda X: baselines.DctSparsifier(5).encode(X, 2), "frame", "sensor"),
+    "pca_fit": (lambda X: baselines.fit("pca", X), "training frame", "sensor"),
+    "evaluate_rmse": (lambda X: trainer.evaluate_rmse(trainer.init_params(5, 6), 1.0, X, 2),
+                      "frame", "sensor"),
+    "trainer_fit": (lambda X: trainer.fit(X, trainer.TrainingConfig(n_hidden=6, k_max=2)),
+                    "frame", "sensor"),
+    "lasso_phi": (lambda phi: cs.lasso_recover_batch(phi, np.ones((3, 8))),
+                  "matrix row", "column"),
+    "lasso_y": (lambda Y: cs.lasso_recover_batch(cs.gaussian_sensing_matrix(5, 8), Y),
+                "frame", "measurement"),
+}
+
+# Every entry that takes a matrix, called with X, and the name it gives X.
+MATRIX_ENTRIES = {
+    "write_csv": (lambda X: data.write_csv(X, io.StringIO()), "matrix"),
+    "trainer_fit": (lambda X: trainer.fit(X, trainer.TrainingConfig(n_hidden=4, k_max=2)),
+                    "matrix"),
+    "trainer_train": (lambda X: trainer.train(X, trainer.TrainingConfig(n_hidden=4, k_max=2)),
+                      "matrix"),
+    "baselines_fit_dct": (lambda X: baselines.fit("dct", X), "training matrix"),
+    "baselines_fit_pca": (lambda X: baselines.fit("pca", X), "training matrix"),
+    "pca_fit": (baselines.PcaSparsifier.fit, "training matrix"),
+}
+
+
+class TestArrayChecks:
+    @pytest.mark.parametrize("entry", FINITE_ENTRIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("later, first", [((4, 1), (2, 3)), ((3, 4), (3, 0))],
+                             ids=["rows", "columns"])
+    def test_every_entry_names_the_first_non_finite_entry(self, entry, bad, later, first):
+        call, what, part = FINITE_ENTRIES[entry]
+        A = np.random.default_rng(4).normal(size=(8, 5))
+        A[later] = A[first] = bad
+        message = f"^{what} {first[0]}, {part} {first[1]} is not finite: {bad}$"
+        with pytest.raises(ValueError, match=message):
+            call(A)
+
+    @pytest.mark.parametrize("value", [1e200, -1.7e308])
+    def test_finite_values_whose_squares_overflow_pass(self, value):
+        X = np.full((3, 4), value)
+        sink = io.StringIO()
+        data.write_csv(X, sink)
+        assert np.array_equal(data.load_csv(io.StringIO(sink.getvalue())), X)
+
+    @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+    @pytest.mark.parametrize("shape", [(6,), (2, 6, 6)])
+    def test_every_entry_names_a_matrix_that_is_not_2d(self, entry, shape):
+        call, what = MATRIX_ENTRIES[entry]
+        message = f"expected a 2-D {what}, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.ones(shape))
 
 
 class TestSparsityProperties:

@@ -374,6 +374,20 @@ class TestWriteCsvProperties:
         with pytest.raises(ValueError, match="header"):
             write_csv(np.zeros((2, 3)), io.StringIO(), header=["a", "b"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_before_anything_is_written(self, tmp_path, bad):
+        X = np.ones((2, 2))
+        X[0, 1] = bad
+        message = f"^frame 0, sensor 1 is not finite: {bad}$"
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match=message):
+            write_csv(X, path, header=["a", "b"])
+        assert not path.exists()
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_csv(X, sink, header=["a", "b"])
+        assert sink.getvalue() == ""
+
 
 def reference_decoded(raw) -> str:
     """raw as text, decoded whole; CsvFormatError naming the line of its
@@ -472,7 +486,7 @@ class TestLoadCsvStream:
         X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
         X[-1, -1] = np.nan
         path = tmp_path / "log.csv"
-        write_csv(X, path)
+        path.write_bytes(savetxt_bytes(X))  # write_csv refuses the nan
         outcome, peak = traced(load_csv, path)
         assert outcome == (CsvFormatError, "row 20000, column 23: non-finite value 'nan'")
         assert peak <= 1.5 * X.nbytes, peak / X.nbytes
@@ -485,6 +499,36 @@ class TestLoadCsvStream:
         out, peak = traced(load_csv, path)
         assert same_bits(out, X)
         assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
+
+def numpy_scalar_ar1(rng, n, smoothing, std):
+    """The AR(1) recursion on numpy float64 scalars, one array entry at a time."""
+    eps = rng.normal(size=n)
+    out = np.empty(n)
+    out[0] = eps[0]
+    scale = math.sqrt(1.0 - smoothing * smoothing)
+    for t in range(1, n):
+        out[t] = smoothing * out[t - 1] + scale * eps[t]
+    return std * out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 20_000])
+@pytest.mark.parametrize("seed", [0, 19])
+def test_ar1_bits_equal_the_numpy_scalar_recursion(seed, n):
+    for smoothing, std in ((0.995, 0.8), (0.997, 3.0)):
+        got = data._ar1(np.random.default_rng(seed), n, smoothing, std)
+        assert same_bits(got, numpy_scalar_ar1(np.random.default_rng(seed), n, smoothing, std))
+
+
+def test_ar1_keeps_no_python_float_per_sample():
+    # eps, the growing array("d") and the scaled output: about three arrays.
+    tracemalloc.start()
+    try:
+        out = data._ar1(np.random.default_rng(0), 20_000, 0.995, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes, peak / out.nbytes
 
 
 def formula_generate(n_sensors, n_samples, correlation_length, amp, noise):
