@@ -55,7 +55,7 @@ _LN10 = float(np.log(10.0))
 
 @dataclass
 class SsaeParams:
-    """Weights and biases: w1 is (L, N), b1 (L,), w2 (N, L), b2 (N,)."""
+    """Weights and biases, all finite: w1 is (L, N), b1 (L,), w2 (N, L), b2 (N,)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -63,12 +63,8 @@ class SsaeParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ValueError("weight matrices must be 2-D")
+        self.w1, self.w2 = _matrix(self.w1, "w1"), _matrix(self.w2, "w2")
+        self.b1, self.b2 = np.asarray(self.b1, np.float64), np.asarray(self.b2, np.float64)
         L, N = self.w1.shape
         if self.w2.shape != (N, L):
             raise ValueError(
@@ -79,8 +75,7 @@ class SsaeParams:
         if self.b2.shape != (N,):
             raise ValueError(f"b2 must have shape ({N},), got {self.b2.shape}")
         for name in ("w1", "b1", "w2", "b2"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            _finite(getattr(self, name), f"{name} row", "column")
 
     @property
     def n_visible(self) -> int:
@@ -129,19 +124,20 @@ def _tanh_layer(x, w: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return np.tanh(Z, out=Z)
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int; a ValueError naming the argument if it is not one."""
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int in [lo, hi]; a ValueError naming the argument otherwise.
+
+    A bound of None is open, and hi is given only with lo.
+    """
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _seed(value) -> int:
-    """value as a non-negative Python int; a ValueError naming seed otherwise."""
-    if (seed := _integer("seed", value)) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
+    return v
 
 
 def _finite(X: np.ndarray, what: str = "frame", part: str = "sensor") -> None:
@@ -175,9 +171,8 @@ def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim == 0:
         raise ValueError("h must have a last axis of length L, got a 0-d value")
-    L, k = h.shape[-1], _integer("k", k)
-    if not 1 <= k <= L:
-        raise ValueError(f"k must be in [1, {L}], got {k}")
+    L = h.shape[-1]
+    k = _integer("k", k, 1, L)
     # Sorting -|h| ranks NaN last, as the stable sort does, and keeping
     # what is not above the k-th value keeps at least k in every row.
     neg = np.abs(h)
@@ -210,9 +205,7 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     and are returned unchanged, so finite codes stay finite.  places is an
     integer in [0, 308]: 10**309 is beyond float64.
     """
-    places = _integer("places", places)
-    if not 0 <= places <= 308:
-        raise ValueError(f"places must be in [0, 308], got {places}")
+    places = _integer("places", places, 0, 308)
     s = np.asarray(s, dtype=np.float64)
     f = 10.0 ** places
     whole = 2.0 ** 52 / f

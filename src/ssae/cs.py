@@ -54,9 +54,8 @@ class Measurement:
 
 def min_measurements(k: int, l: int) -> int:
     """Measurement count M = ceil(K * log2(L / K)), floored at 1."""
-    k, l = core._integer("k", k), core._integer("l", l)
-    if not 1 <= k <= l:
-        raise ValueError(f"need 1 <= k <= l, got k={k}, l={l}")
+    l = core._integer("l", l, 1)
+    k = core._integer("k", k, 1, l)
     return max(1, math.ceil(k * math.log2(l / k)))
 
 
@@ -67,9 +66,8 @@ def gaussian_sensing_matrix(m: int, l: int, seed: int = 0) -> np.ndarray:
     the scale of the code.  Deterministic given (m, l, seed), so the seed
     must be a non-negative integer.
     """
-    m, l, seed = core._integer("m", m), core._integer("l", l), core._seed(seed)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m, l = core._integer("m", m, 1), core._integer("l", l, 1)
+    seed = core._integer("seed", seed, 0)
     if m > l:
         raise ValueError(f"m={m} > l={l} would not compress")
     rng = np.random.default_rng(seed)
@@ -152,9 +150,7 @@ def lasso_recover_batch(
     bad = ~(np.isfinite(lam) & (lam >= 0))
     if bad.any():
         raise ValueError(f"lam of frame {int(np.argmax(bad))} must be finite and >= 0")
-    max_iter = 8 * L if max_iter is None else core._integer("max_iter", max_iter)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    max_iter = 8 * L if max_iter is None else core._integer("max_iter", max_iter, 0)
     if not L:  # a code of length 0 has nothing to recover
         return np.zeros((B, 0))
     g = np.diag(G)

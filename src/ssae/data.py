@@ -67,7 +67,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.variance < math.inf:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        object.__setattr__(self, "seed", core._seed(self.seed))
+        object.__setattr__(self, "seed", core._integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,11 @@ def generate_synthetic(
 ) -> np.ndarray:
     """Synthetic readings of a line of sensors: a correlated field plus noise.
 
-    Sensors sit at positions 1..N.  Each frame is a shared diurnal level
-    plus a warm spot of spatial width ``correlation_length`` whose centre
-    sweeps the array sinusoidally, perturbed by a low-pass random walk.
+    Sensors sit at positions 1..N, and N = n_sensors >= 2, since a spatially
+    correlated field needs two sensors; n_samples >= 1.  Each frame is a
+    shared diurnal level plus a warm spot of spatial width
+    ``correlation_length`` whose centre sweeps the array sinusoidally,
+    perturbed by a low-pass random walk.
     Covariance between two sensors decays with their distance over the
     correlation length; correlation_length = inf makes all columns equal.
     I.i.d. Gaussian noise of noise.variance is added on top; at variance 0
@@ -281,12 +283,8 @@ def generate_synthetic(
     from separate streams spawned from noise.seed, so the field never
     depends on noise.variance.
     """
-    n_sensors = core._integer("n_sensors", n_sensors)
-    n_samples = core._integer("n_samples", n_samples)
-    if n_sensors < 2:
-        raise ValueError("need at least 2 sensors for a spatially correlated field")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_sensors = core._integer("n_sensors", n_sensors, 2)
+    n_samples = core._integer("n_samples", n_samples, 1)
     if not correlation_length > 0:
         raise ValueError("correlation_length must be positive")
     if not math.isfinite(base_signal_amplitude):

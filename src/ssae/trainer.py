@@ -46,11 +46,9 @@ SCORE_BLOCK_ROWS = 4096
 
 def init_params(n_visible: int, n_hidden: int, seed: int = 0) -> core.SsaeParams:
     """Symmetric uniform weight init, r = sqrt(6 / (N + L)); zero biases."""
-    n_visible = core._integer("n_visible", n_visible)
-    n_hidden = core._integer("n_hidden", n_hidden)
-    if n_visible < 1 or n_hidden < 1:
-        raise ValueError("layer sizes must be >= 1")
-    rng = np.random.default_rng(core._seed(seed))
+    n_visible = core._integer("n_visible", n_visible, 1)
+    n_hidden = core._integer("n_hidden", n_hidden, 1)
+    rng = np.random.default_rng(core._integer("seed", seed, 0))
     r = math.sqrt(6.0 / (n_visible + n_hidden))
     return core.SsaeParams(
         w1=rng.uniform(-r, r, size=(n_hidden, n_visible)),
@@ -178,8 +176,7 @@ def minimize(
     Raises FloatingPointError if a cost or a read gradient is ever
     non-finite.
     """
-    if (max_iterations := core._integer("max_iterations", max_iterations)) < 1:
-        raise ValueError("max_iterations must be >= 1")
+    max_iterations = core._integer("max_iterations", max_iterations, 1)
     if not 0 < convergence_tol < math.inf:
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
     evaluations = gradients = 0
@@ -278,19 +275,11 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_hidden", "k_max", "folds", "max_iterations"):
-            setattr(self, name, core._integer(name, getattr(self, name)))
-        self.seed = core._seed(self.seed)
-        if self.n_hidden < 1:
-            raise ValueError("n_hidden must be >= 1")
-        if not 1 <= self.k_max <= self.n_hidden:
-            raise ValueError(
-                f"k_max must be in [1, n_hidden={self.n_hidden}], got {self.k_max}"
-            )
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        self.n_hidden = core._integer("n_hidden", self.n_hidden, 1)
+        self.k_max = core._integer("k_max", self.k_max, 1, self.n_hidden)
+        self.folds = core._integer("folds", self.folds, 2)
+        self.max_iterations = core._integer("max_iterations", self.max_iterations, 1)
+        self.seed = core._integer("seed", self.seed, 0)
         if not 0 < self.convergence_tol < math.inf:
             raise ValueError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         if isinstance(self.gamma, str):
@@ -332,9 +321,8 @@ class TrainingReport:
                 if not res.converged]
 
 
-def _fit_rows(X, sigma: float, gamma: float, config: TrainingConfig):
-    """Sphere the rows, initialise from the config seed, minimize the cost."""
-    D, _ = data.sphere_rows(X, sigma)
+def _fit_rows(D, gamma: float, config: TrainingConfig):
+    """Initialise from the config seed and minimize the cost on sphered rows D."""
     n_visible = D.shape[1]
     n_hidden = config.n_hidden
     theta0 = init_params(n_visible, n_hidden, config.seed)
@@ -360,7 +348,8 @@ def fit(X: np.ndarray, config: TrainingConfig):
     """
     X = core._matrix(X)
     sigma = data.dataset_std(X)
-    params, res = _fit_rows(X, sigma, config.resolve_gamma(), config)
+    D, _ = data.sphere_rows(X, sigma)
+    params, res = _fit_rows(D, config.resolve_gamma(), config)
     return params, sigma, res.curve
 
 
@@ -368,8 +357,9 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     """Cross-validated offline training.
 
     Pools sigma over the full matrix, shuffles the rows with the config
-    seed, splits them into `folds` contiguous groups, trains on the
-    complement of each group and scores it through the full round trip.
+    seed and spheres them once, splits them into `folds` contiguous groups,
+    trains on the complement of each group and scores it through the full
+    round trip.
     Every fold starts from the same initial parameters.  The returned
     parameters are the final fold's model.
     """
@@ -382,14 +372,14 @@ def train(X: np.ndarray, config: TrainingConfig) -> TrainingReport:
     gamma = config.resolve_gamma()
     rng = np.random.default_rng(config.seed)
     shuffled = X[rng.permutation(T)]
+    D, _ = data.sphere_rows(shuffled, sigma)
     fold_slices = np.array_split(np.arange(T), config.folds)
 
     fold_rmse = []
     fold_results = []
     for i, test_idx in enumerate(fold_slices):
-        train_rows = np.delete(shuffled, test_idx, axis=0)
         try:
-            params, res = _fit_rows(train_rows, sigma, gamma, config)
+            params, res = _fit_rows(np.delete(D, test_idx, axis=0), gamma, config)
         except FloatingPointError as exc:
             raise FloatingPointError(f"fold {i + 1}: {exc}") from exc
         fold_results.append(res)

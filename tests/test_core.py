@@ -328,6 +328,60 @@ class TestSeed:
             SEEDED_ENTRIES[entry](seed)
 
 
+# Every integer argument of the library: a call that passes it, and its range
+# [lo, hi], with hi None when it has no upper bound.
+INTEGER_ENTRIES = {
+    "shrink_mask.k": (lambda k: core.shrink_mask(np.zeros(5), k), 1, 5),
+    "round_code.places": (lambda places: core.round_code(np.zeros(2), places), 0, 308),
+    "min_measurements.l": (lambda l: cs.min_measurements(1, l), 1, None),
+    "min_measurements.k": (lambda k: cs.min_measurements(k, 4), 1, 4),
+    "gaussian_sensing_matrix.l": (lambda l: cs.gaussian_sensing_matrix(1, l), 1, None),
+    "gaussian_sensing_matrix.m": (lambda m: cs.gaussian_sensing_matrix(m, 4), 1, None),
+    "lasso_recover_batch.max_iter": (
+        lambda n: cs.lasso_recover_batch(np.eye(3), np.zeros((2, 3)), max_iter=n), 0, None),
+    "generate_synthetic.n_sensors": (lambda n: data.generate_synthetic(n, 3), 2, None),
+    "generate_synthetic.n_samples": (lambda n: data.generate_synthetic(3, n), 1, None),
+    "init_params.n_visible": (lambda n: trainer.init_params(n, 2), 1, None),
+    "init_params.n_hidden": (lambda n: trainer.init_params(2, n), 1, None),
+    "minimize.max_iterations": (
+        lambda n: trainer.minimize(lambda x: (x @ x, lambda: 2 * x), np.ones(2), n), 1, None),
+    "TrainingConfig.n_hidden": (lambda n: trainer.TrainingConfig(n_hidden=n, k_max=1), 1, None),
+    "TrainingConfig.k_max": (lambda k: trainer.TrainingConfig(n_hidden=4, k_max=k), 1, 4),
+    "TrainingConfig.folds": (
+        lambda n: trainer.TrainingConfig(n_hidden=4, k_max=2, folds=n), 2, None),
+    "TrainingConfig.max_iterations": (
+        lambda n: trainer.TrainingConfig(n_hidden=4, k_max=2, max_iterations=n), 1, None),
+    "TrainingConfig.seed": (lambda n: trainer.TrainingConfig(n_hidden=4, k_max=2, seed=n), 0, None),
+}
+
+
+class TestInteger:
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    def test_bounds_are_accepted(self, entry):
+        call, lo, hi = INTEGER_ENTRIES[entry]
+        for value in [lo] if hi is None else [lo, hi]:
+            call(value)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    def test_float_named(self, entry):
+        call, lo, _ = INTEGER_ENTRIES[entry]
+        name = entry.rsplit(".", 1)[1]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {lo + 0.5}")):
+            call(lo + 0.5)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    def test_out_of_range_named(self, entry):
+        call, lo, hi = INTEGER_ENTRIES[entry]
+        name = entry.rsplit(".", 1)[1]
+        if hi is None:
+            cases = [(lo - 1, f"{name} must be >= {lo}, got {lo - 1}")]
+        else:
+            cases = [(v, f"{name} must be in [{lo}, {hi}], got {v}") for v in (lo - 1, hi + 1)]
+        for value, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
+
+
 # Every entry of the library that checks an array for non-finite entries,
 # called with an (8, 5) array, and the names its error gives a row and a column.
 FINITE_ENTRIES = {
@@ -372,6 +426,23 @@ class TestArrayChecks:
         message = f"^{what} {first[0]}, {part} {first[1]} is not finite: {bad}$"
         with pytest.raises(ValueError, match=message):
             call(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, later, first", [
+        ("w1", (3, 1), (2, 3)), ("w1", (2, 4), (2, 0)),
+        ("b1", 3, 1), ("b1", 2, 0),
+        ("w2", (4, 1), (2, 3)), ("w2", (3, 3), (3, 0)),
+        ("b2", 4, 2), ("b2", 1, 0),
+    ])
+    def test_params_name_the_first_non_finite_entry(self, bad, field, later, first):
+        # SsaeParams beside the table above: w1 is (4, 5), w2 (5, 4), and a
+        # 1-D field's one row is row 0.
+        fields = vars(random_params(np.random.default_rng(4), 5, 4))
+        fields[field][later] = fields[field][first] = bad
+        row, column = first if isinstance(first, tuple) else (0, first)
+        message = f"^{field} row {row}, column {column} is not finite: {bad}$"
+        with pytest.raises(ValueError, match=message):
+            SsaeParams(**fields)
 
     @pytest.mark.parametrize("value", [1e200, -1.7e308])
     def test_finite_values_whose_squares_overflow_pass(self, value):

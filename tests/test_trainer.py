@@ -267,6 +267,20 @@ class TestTrain:
         baseline = math.sqrt(np.mean((shuffled - shuffled.mean(axis=1, keepdims=True)) ** 2))
         assert report.mean_rmse < baseline
 
+    def test_spheres_each_row_once(self, monkeypatch):
+        # The shuffled matrix is sphered once for every fold's fit, then each
+        # fold's held-out rows once more by evaluate_rmse.
+        rows, sphere_rows = [], data.sphere_rows
+
+        def spy(X, sigma):
+            rows.append(len(X))
+            return sphere_rows(X, sigma)
+
+        monkeypatch.setattr(data, "sphere_rows", spy)
+        X = tiny_dataset(n_samples=80)
+        train(X, TrainingConfig(n_hidden=4, k_max=2, folds=4, max_iterations=3))
+        assert rows == [80, 20, 20, 20, 20]
+
     def test_too_few_rows(self):
         X = tiny_dataset(n_samples=5)
         cfg = TrainingConfig(n_hidden=4, k_max=2, folds=10)
