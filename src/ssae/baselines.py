@@ -2,11 +2,11 @@
 
 Every baseline is a ``Sparsifier``: an orthonormal N x N basis whose rows are
 ``components``, and a ``mean``.  A frame x maps to the N coefficients
-``(x - mean) @ components.T`` and back by ``c @ components + mean``.  The
-frame is on the last axis, so a single frame (N,) and a batch (B, N) take
-the same path; a single frame is the B=1 case.  Sparsification keeps the K
-largest-magnitude coefficients through the same pruning operation the
-autoencoder uses, so all methods are compared on identical code paths.
+``(x - mean) @ components.T`` and back by ``c @ components + mean``; a
+single frame is the B=1 case of a batch (core._frames).  Sparsification
+keeps the K largest-magnitude coefficients through the same pruning
+operation the autoencoder uses, so all methods are compared on identical
+code paths.
 
 The kinds differ only in the basis they build:
 
@@ -47,21 +47,12 @@ class Sparsifier:
         self.mean = mean
         self.code_length = components.shape[0]
 
-    def _rows(self, a: np.ndarray, what: str) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim not in (1, 2) or a.shape[-1] != self.code_length:
-            raise ValueError(
-                f"expected a {what} of length {self.code_length} or a batch of them "
-                f"on the last axis, got shape {a.shape}"
-            )
-        return a
-
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of a frame (N,) or a batch (B, N) in the basis.
+        """Coefficients of frames in the basis.
 
         A non-finite reading raises a ValueError naming its frame and sensor.
         """
-        x = self._rows(x, "frame")
+        x = core._frames(x, self.code_length, "x must be a frame")
         core._finite(x)
         return (x - self.mean) @ self.components.T
 
@@ -70,8 +61,8 @@ class Sparsifier:
         return core.shrink(self.transform(x), k)
 
     def decode(self, s: np.ndarray) -> np.ndarray:
-        """Frames from codes (N,) or (B, N); the inverse of transform."""
-        return self._rows(s, "code") @ self.components + self.mean
+        """Frames from codes; the inverse of transform."""
+        return core._frames(s, self.code_length, "s must be a code") @ self.components + self.mean
 
 
 class DctSparsifier(Sparsifier):

@@ -23,6 +23,10 @@ array, in SsaeParams.to_vector order, on every later call, so a caller
 that never reads the slope never pays for it.  cost() is gradient()'s
 cost, from the same pass, with the slope never read.
 
+Every layer that takes frames or codes, here, in baselines and in data,
+takes one, (n,), or a batch (B, n) of them: a single frame is the B=1
+case.  _frames is the one place that rule is written.
+
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
 keeps more than k (a tie at the threshold, or a NaN) are redone by a
@@ -107,32 +111,37 @@ def _flatten(w1, b1, w2, b2) -> np.ndarray:
 
 
 def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
-    """Pre-shrink hidden activation h = tanh(W1 d + b1).
-
-    Accepts a single frame (N,) or a batch (T, N); the hidden axis is last.
-    """
-    return _tanh_layer(d, params.w1, params.b1, "d must be a frame (N,) or a batch (T, N) with N")
+    """Pre-shrink hidden activation h = tanh(W1 d + b1)."""
+    return _tanh_layer(d, params.w1, params.b1, "d must be a frame")
 
 
 def _tanh_layer(x, w: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """tanh(x @ w.T + b) on the last axis; a ValueError starting with what on a bad shape."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] != w.shape[1]:
-        raise ValueError(f"{what} = {w.shape[1]}, got shape {x.shape}")
-    Z = x @ w.T
+    """tanh(x @ w.T + b) of frames x; _frames names what on a bad shape."""
+    Z = _frames(x, w.shape[1], what) @ w.T
     Z += b
     return np.tanh(Z, out=Z)
+
+
+def _frames(X, n: int | None, what: str) -> np.ndarray:
+    """X as float64 (n,) or (B, n), B >= 0, any n if n is None; a ValueError led by what otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2) or n is not None and X.shape[-1] != n:
+        raise ValueError(
+            f"{what} of length {'N' if n is None else n} or a batch of them, got shape {X.shape}")
+    return X
 
 
 def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """value as a Python int in [lo, hi]; a ValueError naming the argument otherwise.
 
-    A bound of None is open, and hi is given only with lo.
+    A bound of None is open, hi is given only with lo, and a bool is not an integer.
     """
     try:
         v = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        v = None
+    if v is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if hi is not None and not lo <= v <= hi:
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
     if lo is not None and v < lo:
@@ -207,6 +216,8 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     """
     places = _integer("places", places, 0, 308)
     s = np.asarray(s, dtype=np.float64)
+    if not s.ndim:  # the in-place steps below need an array to write to
+        return round_code(s.reshape(1), places).reshape(())
     f = 10.0 ** places
     whole = 2.0 ** 52 / f
     r = np.abs(s)
@@ -224,17 +235,12 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
 
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
     """Output-layer reconstruction d_hat = tanh(W2 s + b2) from a sparse code."""
-    return _tanh_layer(s, params.w2, params.b2, "s must be a code (L,) or a batch (T, L) with L")
+    return _tanh_layer(s, params.w2, params.b2, "s must be a code")
 
 
 def _check_batch(params: SsaeParams, X, what: str) -> np.ndarray:
-    """A frame (N,) or batch (T, N), T >= 1, N = n_visible, as (T, N); errors name what X is."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (1, 2) or X.shape[-1] != params.n_visible:
-        N = params.n_visible
-        raise ValueError(f"{what} must be a frame ({N},) or a batch (T, {N}), got shape {X.shape}")
-    if X.ndim == 1:
-        X = X[None, :]
+    """Frames of length n_visible as (T, N) with T >= 1; errors name what X is."""
+    X = np.atleast_2d(_frames(X, params.n_visible, f"{what} must be a frame"))
     if not X.shape[0]:
         raise ValueError(f"empty {what} of shape {X.shape}")
     return X
@@ -249,7 +255,6 @@ def cost(
 ) -> float:
     """Mean reconstruction error plus the activation sparsity penalty.
 
-    This is gradient()'s cost, from the same forward pass.
     rounding_places=None skips code rounding; pass None when checking
     gradients against finite differences, since rounding is a staircase.
     """
@@ -265,16 +270,15 @@ def gradient(
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """(cost, grad) of the objective from one forward pass.
 
-    The cost equals cost() exactly.  grad() backpropagates from the saved
-    forward state on its first call and returns the same array on every
-    later call; it must cache, since the backward pass overwrites four of
-    the saved arrays: D_hat, S, H*H and 1 + H*H.  The gradient is
-    averaged over the batch, flat in SsaeParams.to_vector order.  The
-    pruning mask is frozen from the forward pass, so reconstruction error
-    reaches only the k surviving units of each frame; rounding is treated
-    as the identity.  The penalty term d/dh log10(1 + h^2) =
-    2h / ((1 + h^2) ln 10) reaches every unit through the first-layer tanh
-    derivative.
+    grad() backpropagates from the saved forward state on its first call
+    and returns the same array on every later call; it must cache, since
+    the backward pass overwrites four of the saved arrays: D_hat, S, H*H
+    and 1 + H*H.  The gradient is averaged over the batch, flat in
+    SsaeParams.to_vector order.  The pruning mask is frozen from the
+    forward pass, so reconstruction error reaches only the k surviving
+    units of each frame; rounding is treated as the identity.  The
+    penalty term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches
+    every unit through the first-layer tanh derivative.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")

@@ -2,7 +2,7 @@
 
 A dataset is a plain float64 array of shape (T, N): one row per time
 instant, one column per sensor.  sphere_rows is the one sphering path: it
-maps each frame on the last axis, (N,) or (B, N), into [-1, 1] by removing
+maps each frame, one or a batch (core._frames), into [-1, 1] by removing
 its own mean and scaling by three dataset standard deviations; sphere is
 its B=1 case and desphere_rows the affine inverse.  generate_synthetic is
 the one synthetic source; its noiseless field is the variance-0 case.
@@ -79,8 +79,14 @@ class SpheredFrame:
 
 
 def _number(cell: str) -> float:
-    """A cell's value as np.loadtxt reads it; float alone keeps \\x1c-\\x1f around it."""
-    return float(cell.strip())
+    """A cell's value as np.loadtxt reads it, or a ValueError.
+
+    float alone keeps \\x1c-\\x1f around it and takes "_" and non-ASCII digits.
+    """
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {cell!r}")
+    return float(text)
 
 
 def _is_number(cell: str) -> bool:
@@ -342,13 +348,11 @@ def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
 
 
 def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere a frame (N,) or every row of (B, N); returns (D, per-row means).
+    """Sphere frames X; returns (D, per-frame means).
 
     Frames must be finite with N >= 1, and sigma finite and positive.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (1, 2):
-        raise ValueError(f"expected a frame or a 2-D matrix, got shape {X.shape}")
+    X = core._frames(X, None, "X must be a frame")
     if not X.shape[-1]:
         raise ValueError(f"frames have no sensors, got shape {X.shape}")
     core._finite(X)
@@ -370,7 +374,7 @@ def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndar
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    D_hat = np.asarray(D_hat, dtype=np.float64)
+    D_hat = core._frames(D_hat, None, "D_hat must be a frame")
     means = np.asarray(means, dtype=np.float64)
     if means.shape != D_hat.shape[:-1]:
         raise ValueError(

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import ssae
 from ssae import baselines
@@ -44,7 +43,7 @@ def test_basis_is_orthonormal(kind, n):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind,reference", [
-    ("dct", lambda x: scipy.fft.dct(x, norm="ortho")),
+    ("dct", lambda x: pytest.importorskip("scipy.fft").dct(x, norm="ortho")),
     ("dft", packed_dft),
 ])
 def test_matches_reference_transform(kind, reference, n):
@@ -54,7 +53,7 @@ def test_matches_reference_transform(kind, reference, n):
     if kind == "dct":
         # Makhoul's FFT basis is within rounding of scipy's; a closed-form
         # cosine matrix is about 4e-15 off and fails this bound.
-        reference_basis = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
+        reference_basis = pytest.importorskip("scipy.fft").dct(np.eye(n), norm="ortho", axis=0)
         np.testing.assert_allclose(sp.components, reference_basis, rtol=0, atol=4e-16)
 
 

@@ -299,6 +299,14 @@ class TestRoundCode:
         s = np.array([1.2345, -0.0005, 0.0])
         assert round_code(s, places).tobytes() == round_code(s, 3).tobytes()
 
+    @pytest.mark.parametrize("s", [2.5, -0.1235, np.float64(0.1234), np.array(-0.0004),
+                                   np.float64(1e300), math.nan])
+    @pytest.mark.parametrize("places", [0, 3])
+    def test_zero_d_value_is_the_one_entry_case(self, s, places):
+        out = round_code(s, places)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out.tobytes() == round_code(np.reshape(s, 1), places).tobytes()
+
 
 codes = st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(
     lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
@@ -370,6 +378,16 @@ class TestInteger:
             call(lo + 0.5)
 
     @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_bool_named(self, entry, flag):
+        # operator.index takes a Python bool as 1 or 0; a flag in a size's
+        # place is a caller's mistake.
+        call = INTEGER_ENTRIES[entry][0]
+        name = entry.rsplit(".", 1)[1]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {flag!r}')}$"):
+            call(flag)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
     def test_out_of_range_named(self, entry):
         call, lo, hi = INTEGER_ENTRIES[entry]
         name = entry.rsplit(".", 1)[1]
@@ -412,6 +430,60 @@ MATRIX_ENTRIES = {
     "baselines_fit_pca": (lambda X: baselines.fit("pca", X), "training matrix"),
     "pca_fit": (baselines.PcaSparsifier.fit, "training matrix"),
 }
+
+# Every entry of the library that takes frames or codes, called with X: the
+# length it takes (None for any), the name its error gives X, and whether it
+# takes an empty batch (0, n).
+FRAME_PARAMS = trainer.init_params(5, 6)
+FRAME_ENTRIES = {
+    "hidden_activation": (lambda X: core.hidden_activation(FRAME_PARAMS, X), 5,
+                          "d must be a frame", True),
+    "reconstruct": (lambda S: core.reconstruct(FRAME_PARAMS, S), 6, "s must be a code", True),
+    "gradient": (lambda X: core.gradient(FRAME_PARAMS, X, 0.1, 2), 5,
+                 "training batch must be a frame", False),
+    "evaluate_rmse": (lambda X: trainer.evaluate_rmse(FRAME_PARAMS, 1.0, X, 2), 5,
+                      "test matrix must be a frame", False),
+    "transform": (lambda X: baselines.DctSparsifier(5).transform(X), 5, "x must be a frame", True),
+    "encode": (lambda X: baselines.DctSparsifier(5).encode(X, 2), 5, "x must be a frame", True),
+    "decode": (lambda S: baselines.DctSparsifier(5).decode(S), 5, "s must be a code", True),
+    "sphere_rows": (lambda X: data.sphere_rows(X, 1.0), None, "X must be a frame", True),
+    "desphere_rows": (lambda D: data.desphere_rows(D, np.zeros(np.shape(D)[:-1]), 1.0), None,
+                      "D_hat must be a frame", True),
+}
+# Shapes that are not frames: a 0-d value, a 3-D stack and a row one too long.
+NOT_FRAMES = [pytest.param(entry, shape, id=f"{entry}-{'x'.join(map(str, shape)) or '0d'}")
+              for entry, (_, n, _, _) in FRAME_ENTRIES.items()
+              for shape in [(), (2, 3, n or 5)] + ([(3, n + 1)] if n else [])]
+
+
+def flat_outputs(out) -> list[np.ndarray]:
+    """An entry's output as flat arrays; gradient's grad is called."""
+    parts = out if isinstance(out, tuple) else (out,)
+    return [np.ravel(p() if callable(p) else p) for p in parts]
+
+
+class TestFrames:
+    @pytest.mark.parametrize("entry", FRAME_ENTRIES)
+    def test_a_frame_is_a_batch_of_one(self, entry):
+        call, n, _, takes_empty = FRAME_ENTRIES[entry]
+        X = np.random.default_rng(5).uniform(-0.5, 0.5, (3, n or 5))
+        call(X)
+        frame, batch_of_one = flat_outputs(call(X[0])), flat_outputs(call(X[:1]))
+        assert len(frame) == len(batch_of_one)
+        for a, b in zip(frame, batch_of_one):
+            assert a.tobytes() == b.tobytes()
+        if takes_empty:
+            call(X[:0])
+        else:
+            with pytest.raises(ValueError, match=rf"^empty .+ of shape \(0, {n}\)$"):
+                call(X[:0])
+
+    @pytest.mark.parametrize("entry, shape", NOT_FRAMES)
+    def test_any_other_shape_is_named(self, entry, shape):
+        call, n, what, _ = FRAME_ENTRIES[entry]
+        message = f"{what} of length {n or 'N'} or a batch of them, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(np.zeros(shape))
 
 
 class TestArrayChecks:

@@ -204,6 +204,32 @@ class TestLoadCsvFastPath:
         assert fast is not None and same_outcome(fast, X)
 
 
+def loadtxt_reads(cell: str) -> bool:
+    """Does np.loadtxt read a one-cell line as a number?"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty line warns that there is no data
+        try:
+            np.loadtxt([cell], delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            return False
+    return True
+
+
+class TestCellParser:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="0123456789._e+-" "٠١٣٥٩" "０１２９" "²৩"
+                            " \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000", max_size=8))
+    @example("1_0")
+    @example("1e1_0")
+    @example("١٢")
+    @example("１２")
+    @example("٣.٥")
+    @example("\xa012\u3000")
+    def test_is_number_agrees_with_loadtxt(self, cell):
+        # float alone takes "_" between digits and any Unicode decimal digit.
+        assert data._is_number(cell) == loadtxt_reads(cell)
+
+
 class TestWriteCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
