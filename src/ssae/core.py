@@ -23,9 +23,10 @@ array, in SsaeParams.to_vector order, on every later call, so a caller
 that never reads the slope never pays for it.  cost() is gradient()'s
 cost, from the same pass, with the slope never read.
 
-Every layer that takes frames or codes, here, in baselines and in data,
-takes one, (n,), or a batch (B, n) of them: a single frame is the B=1
-case.  _frames is the one place that rule is written.
+Every layer that takes frames, codes or measurements, here, in baselines,
+in data and in cs's recovery, takes one, (n,), or a batch (B, n) of them:
+a single frame is the B=1 case.  _frames is the one place that rule is
+written.
 
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that

@@ -121,8 +121,7 @@ def lasso_recover_batch(
     moving after max_iter >= 0 steps (default 8 * L) are named in a
     RuntimeWarning and get the exact code at the penalty reached.  A
     non-finite entry of phi raises a ValueError naming its row and column,
-    one of Y its frame and measurement, and one of lam its frame.  B=1:
-    lasso_recover_batch(phi, y[None])[0].
+    one of Y its frame and measurement, and one of lam its frame.
 
     State is kept for live frames only.  Each holds its active set in up to
     min(M, L) slots and the inverse of G_AA over them, changed by one
@@ -131,14 +130,11 @@ def lasso_recover_batch(
     finite phi is accepted, M > L too; the later column of a twin pair
     (phi_j = +-phi_i) never joins, as its correlation ties the earlier one's.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if phi.ndim != 2 or Y.ndim != 2 or Y.shape[1] != phi.shape[0]:
-        raise ValueError(
-            f"matrix {phi.shape} and measurements {Y.shape} are not compatible"
-        )
+    phi = core._matrix(phi, "sensing matrix")
+    Y = core._frames(Y, phi.shape[0], "Y must be measurements")
     core._finite(phi, "matrix row", "column")
     core._finite(Y, "frame", "measurement")
+    shape, Y = Y.shape[:-1] + phi.shape[1:], np.atleast_2d(Y)  # a frame's code is (L,)
     B, (M, L) = Y.shape[0], phi.shape
     G, C = phi.T @ phi, Y @ phi  # C holds phi^T y per frame
     lam0 = np.max(np.abs(C), axis=1, initial=0.0)
@@ -152,7 +148,7 @@ def lasso_recover_batch(
         raise ValueError(f"lam of frame {int(np.argmax(bad))} must be finite and >= 0")
     max_iter = 8 * L if max_iter is None else core._integer("max_iter", max_iter, 0)
     if not L:  # a code of length 0 has nothing to recover
-        return np.zeros((B, 0))
+        return np.zeros(shape)
     g = np.diag(G)
     # The later column of a twin pair (phi_j = +-phi_i) never joins: its
     # correlation always ties the earlier one's, and G_AA would be singular.
@@ -232,4 +228,4 @@ def lasso_recover_batch(
         warnings.warn(f"lasso_recover_batch: {n} frame(s) did not reach lam within "
                       f"max_iter={max_iter} steps, first {live[:5].tolist()}",
                       RuntimeWarning, stacklevel=2)
-    return _active_solve(G, theta != 0, C - level[:, None] * theta)
+    return _active_solve(G, theta != 0, C - level[:, None] * theta).reshape(shape)

@@ -112,13 +112,14 @@ def load_csv(source) -> np.ndarray:
     the first byte that is not UTF-8.
 
     The source is read from its current position as one stream of
-    "\\n"-separated lines, bytes decoded as UTF-8, and clean numeric
-    lines go to np.loadtxt as they are read.  If it rejects them, or reads
-    a non-finite value, the same lines are read again, row by row, by a
-    cell-by-cell parser that names the first offending row and column, so
-    every input gives the same array or the same error either way.  Of
-    two faults, the first in reading order is named: a bad cell in row 1
-    before a byte that is not UTF-8 on line 3.
+    "\\n"-separated lines, bytes decoded as UTF-8, less one leading
+    byte-order mark (spreadsheets start a "CSV UTF-8" export with one),
+    and clean numeric lines go to np.loadtxt as they are read.  If it
+    rejects them, or reads a non-finite value, the same lines are read
+    again, row by row, by a cell-by-cell parser that names the first
+    offending row and column, so every input gives the same array or the
+    same error either way.  Of two faults, the first in reading order is
+    named: a bad cell in row 1 before a byte that is not UTF-8 on line 3.
     """
     if not hasattr(source, "read"):
         with open(os.fspath(source), "rb") as fh:
@@ -142,7 +143,7 @@ def _utf8_lines(stream):
                 line = line.decode()
             except UnicodeDecodeError as exc:
                 raise CsvFormatError(f"line {n}: not UTF-8: byte {line[exc.start]:#04x}") from None
-        yield line
+        yield line.removeprefix("\ufeff") if n == 1 else line
 
 
 def _load_numeric(lines) -> np.ndarray | None:
@@ -387,13 +388,17 @@ def dataset_std(X: np.ndarray) -> float:
     """Population standard deviation pooled over all entries of (T, N).
 
     This is the single scale constant baked into a trained model; a
-    constant matrix has no scale and is rejected.
+    constant matrix has no scale and is rejected, and so is a spread whose
+    standard deviation float64 cannot hold (it overflows, or underflows to 0).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size < 2:
         raise ValueError("need at least 2 entries to measure spread")
     core._finite(X)
-    s = float(X.std())
-    if s == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(X.std())
+    if 0.0 < s < math.inf:
+        return s
+    if X.min() == X.max():
         raise ValueError("constant matrix: standard deviation is zero")
-    return s
+    raise ValueError(f"matrix spread is out of float64 range: standard deviation computes as {s}")

@@ -90,6 +90,8 @@ def test_recovery_of_one_frame_is_its_batch_row(batch):
         assert single.shape == (1, S_hat.shape[1])
         gap = np.linalg.norm(single[0] - S_hat[i])
         assert gap <= 1e-10 * np.linalg.norm(S_hat[i]), (kind, i, gap)
+        frame = cs.lasso_recover_batch(phi, P[i, :-1])
+        assert frame.shape == (S_hat.shape[1],) and frame.tobytes() == single[0].tobytes()
 
 
 def test_decoded_frames_are_finite(codec, batch):

@@ -429,6 +429,8 @@ MATRIX_ENTRIES = {
     "baselines_fit_dct": (lambda X: baselines.fit("dct", X), "training matrix"),
     "baselines_fit_pca": (lambda X: baselines.fit("pca", X), "training matrix"),
     "pca_fit": (baselines.PcaSparsifier.fit, "training matrix"),
+    "lasso_recover_batch": (lambda phi: cs.lasso_recover_batch(phi, np.ones((3, 6))),
+                            "sensing matrix"),
 }
 
 # Every entry of the library that takes frames or codes, called with X: the
@@ -449,6 +451,8 @@ FRAME_ENTRIES = {
     "sphere_rows": (lambda X: data.sphere_rows(X, 1.0), None, "X must be a frame", True),
     "desphere_rows": (lambda D: data.desphere_rows(D, np.zeros(np.shape(D)[:-1]), 1.0), None,
                       "D_hat must be a frame", True),
+    "lasso_recover_batch": (lambda Y: cs.lasso_recover_batch(cs.gaussian_sensing_matrix(5, 8), Y),
+                            5, "Y must be measurements", True),
 }
 # Shapes that are not frames: a 0-d value, a 3-D stack and a row one too long.
 NOT_FRAMES = [pytest.param(entry, shape, id=f"{entry}-{'x'.join(map(str, shape)) or '0d'}")

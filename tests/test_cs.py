@@ -269,6 +269,8 @@ class TestLassoRecoverBatchProperties:
         i = data.draw(st.integers(0, len(Y) - 1))
         alone = lasso_recover_batch(phi, Y[i][None], lam[i])[0]
         np.testing.assert_allclose(alone, S[i], rtol=0, atol=1e-10)
+        frame = lasso_recover_batch(phi, Y[i], lam[i])
+        assert frame.shape == alone.shape and frame.tobytes() == alone.tobytes()
         seven = np.resize(np.arange(len(Y)), 7)
         seven[3] = i
         np.testing.assert_allclose(lasso_recover_batch(phi, Y[seven], lam[seven])[3], S[i],

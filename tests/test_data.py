@@ -90,6 +90,28 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="line 3: not UTF-8: byte 0xe9"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n", "s1,s2\n1,2\n3,4\n"],
+                             ids=["plain", "header"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text):
+        # Spreadsheets start a "CSV UTF-8" export with one.
+        expected = load_csv(io.StringIO(text))
+        marked = "\ufeff" + text
+        path = tmp_path / "marked.csv"
+        path.write_bytes(marked.encode("utf-8"))
+        for source in (io.BytesIO(marked.encode("utf-8")), io.StringIO(marked), path):
+            X = load_csv(source)
+            assert X.shape == expected.shape and X.tobytes() == expected.tobytes(), source
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n\ufeff3,4\n", "row 2, column 1: not a number: '\\ufeff3'"),
+        ("s1,s2\n1,\ufeff2\n", "row 2, column 2: not a number: '\\ufeff2'"),
+        ("\ufeff\ufeff1,2\n", "row 1, column 1: not a number: '\\ufeff1'"),
+    ], ids=["later-row", "later-cell", "second-mark"])
+    def test_any_other_byte_order_mark_is_named(self, text, message):
+        for source in (io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                load_csv(source)
+
     def test_stream_read_from_its_position(self):
         # The cell parser re-reads from where the stream stood, not from 0.
         buf = io.BytesIO(b"preamble\n1,2\n3,x\n")
@@ -884,6 +906,24 @@ class TestDatasetStd:
 
     def test_population_convention(self):
         assert dataset_std(np.array([[0.0], [2.0]])) == 1.0
+
+    @pytest.mark.parametrize("X, s", [([[1e200, -1e200]], "inf"), ([[1e-310, 2e-310]], "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_spread_out_of_float64_range_named_without_a_warning(self, X, s):
+        # Neither matrix is constant; squaring their deviations overflows
+        # or underflows.
+        message = f"matrix spread is out of float64 range: standard deviation computes as {s}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dataset_std(np.array(X))
+
+    @pytest.mark.parametrize("value", [1e-310, 1e308, -1e200])
+    def test_constant_matrix_of_extreme_values_is_constant(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^constant matrix: standard deviation is zero$"):
+                dataset_std(np.full((2, 3), value))
 
     def test_single_entry_rejected(self):
         with pytest.raises(ValueError):
