@@ -7,12 +7,13 @@ problem exactly by the lasso homotopy (Osborne, Presnell & Turlach 2000;
 Efron et al. 2004) vectorized over frames: each frame walks its own
 active-set path and retires at its own penalty, so its code meets the KKT
 conditions to rounding.  Its path and support do not depend on the rest of
-its batch; its values agree to about 1e-12 relative with the frame
-recovered alone, since the closing solve pads every frame's active Gram
-matrix to the batch's largest support and LAPACK's rounding depends on
-that size.
-Steps touch live frames only, and each keeps the inverse of its active
-Gram matrix.  A step's one event, a join or a drop, changes it by one
+its batch, and neither does the closing solve, which takes each frame's
+active Gram matrix at its own size.  A frame's code differs from its row
+in a batch only through Y @ phi: BLAS runs that product as matrix-vector
+or matrix-matrix depending on the batch's shape.
+Steps touch live frames only.  Each carries its correlations
+phi^T (y - phi s) along the path and keeps the inverse of its active Gram
+matrix.  A step's one event, a join or a drop, changes that inverse by one
 rank-one update, the same for both (Donoho & Tsaig 2008), so no step
 solves a linear system.
 """
@@ -93,15 +94,13 @@ def measure(phi: np.ndarray, s: np.ndarray, frame_mean: float) -> Measurement:
 
 def _active_solve(G, active, rhs):
     """Per frame, x with G_AA x_A = rhs_A on its active set A and 0 elsewhere,
-    solved as k x k with k the batch's largest |A|, padded with identity."""
-    k = int(active.sum(axis=1).max(initial=0))
-    idx = np.argsort(~active, axis=1, kind="stable")[:, :k]
-    on = np.take_along_axis(active, idx, axis=1)
-    sub = np.where(on[:, :, None] & on[:, None, :], G[idx[:, :, None], idx[:, None, :]], 0.0)
-    sub[:, range(k), range(k)] += ~on
-    b = np.where(on, np.take_along_axis(rhs, idx, axis=1), 0.0)
-    x = np.zeros(active.shape)
-    np.put_along_axis(x, idx, np.linalg.solve(sub, b[:, :, None])[:, :, 0], axis=1)
+    solved at its own size: one batched solve per support size |A| present."""
+    x, size = np.zeros(active.shape), active.sum(axis=1)
+    for k in np.unique(size[size > 0]):
+        f = np.flatnonzero(size == k)[:, None]
+        idx = np.nonzero(active[f[:, 0]])[1].reshape(-1, k)  # A in column order
+        x[f, idx] = np.linalg.solve(G[idx[:, :, None], idx[:, None, :]],
+                                    rhs[f, idx][:, :, None])[:, :, 0]
     return x
 
 
@@ -126,9 +125,10 @@ def lasso_recover_batch(
     State is kept for live frames only.  Each holds its active set in up to
     min(M, L) slots and the inverse of G_AA over them, changed by one
     rank-one update Gi += u w^T per join or drop; the code returned is one
-    fresh solve of G_AA at each frame's final support and penalty.  Any
-    finite phi is accepted, M > L too; the later column of a twin pair
-    (phi_j = +-phi_i) never joins, as its correlation ties the earlier one's.
+    fresh solve of G_AA at each frame's final support and penalty, at that
+    support's size, so it does not depend on the batch.  Any finite phi is
+    accepted, M > L too; the later column of a twin pair (phi_j = +-phi_i)
+    never joins, as its correlation ties the earlier one's.
     """
     phi = core._matrix(phi, "sensing matrix")
     Y = core._frames(Y, phi.shape[0], "Y must be measurements")
@@ -160,67 +160,74 @@ def lasso_recover_batch(
     # Path state of the live frames only; their rows go when they retire.
     live = np.flatnonzero(lam < lam0)
     n, P, r = live.size, min(M, L), np.arange(live.size)
-    c0, lam_l, lv = C[live], lam[live], level[live]
-    j = np.argmax(np.abs(c0), axis=1)
+    c, lam_l, lv = C[live], lam[live], level[live]  # c is phi^T (y - phi s)
+    j = np.argmax(np.abs(c), axis=1)
     th = np.zeros((n, L + 1))  # theta of the live frames, and a zero column L
-    th[r, j] = np.sign(c0[r, j])
+    th[r, j] = np.sign(c[r, j])
     s = np.zeros((n, L))
     left = np.zeros((n, L))  # sign of a coordinate that dropped on the last step
+    n_active = np.ones(n, dtype=np.intp)
     slot = j[:, None]  # active coordinates, L on a free slot; up to P slots
     Gi = 1 / g[j, None, None]  # inverse of G_AA over the slots, 0 on free slots
     for _ in range(max_iter):
         if not n:
             break
         A, lo = th[:, :L] != 0, 1e-14 * lv[:, None]  # shorter event steps do not count
-        n_active, q = A.sum(axis=1), slot.shape[1]
-        if n_active.max() == q < P:  # some frame has no free slot: add one
+        most, q = n_active.max(), slot.shape[1]
+        if most == q < P:  # some frame has no free slot: add one
             Gq, Gi = Gi, np.zeros((n, q + 1, q + 1))
             Gi[:, :q, :q] = Gq
             slot = np.column_stack((slot, np.full(n, L)))
         d = np.zeros((n, L + 1))  # how fast s grows as the penalty falls
-        d[r[:, None], slot] = np.einsum("npq,nq->np", Gi, th[r[:, None], slot])
+        d[r[:, None], slot] = np.matmul(Gi, th[r[:, None], slot][:, :, None])[:, :, 0]
         d = d[:, :L]
-        a = d @ G  # how fast each correlation phi^T r falls
-        c = c0 - s @ G
+        a = d @ G  # how fast each correlation c falls
         with np.errstate(divide="ignore", invalid="ignore"):
             t_up, t_down, t_drop = (lv[:, None] - c) / (1 - a), (lv[:, None] + c) / (1 + a), -s / d
         # c_j reaching +-level joins, except on the side it just dropped
         # from or once M columns span the measurements; s_j reaching 0 drops.
-        t_join = np.fmin(np.where((t_up > lo) & (left <= 0), t_up, np.inf),
-                         np.where((t_down > lo) & (left >= 0), t_down, np.inf))
-        np.putmask(t_join, A | twin | (n_active >= M)[:, None], np.inf)
+        np.putmask(t_up, ~(t_up > lo) | (left > 0), np.inf)
+        np.putmask(t_down, ~(t_down > lo) | (left < 0), np.inf)
+        t_join, block = np.fmin(t_up, t_down, out=t_up), A | twin
+        if most >= M:  # some frame has M active columns: it joins no more
+            block |= (n_active >= M)[:, None]
+        np.putmask(t_join, block, np.inf)
         np.putmask(t_drop, ~(t_drop > lo) | ~A, np.inf)
-        jj, jd = np.argmin(t_join, axis=1), np.argmin(t_drop, axis=1)
+        jj, jd = t_join.argmin(axis=1), t_drop.argmin(axis=1)
         tj, td, t_target = t_join[r, jj], t_drop[r, jd], lv - lam_l
         t = np.minimum(t_target, np.minimum(tj, td))
         done = t_target <= t
         drop, join = ~done & (td <= tj), ~done & (td > tj)
         s += t[:, None] * d
+        c -= t[:, None] * a
         lv = np.where(done, lam_l, lv - t)
+        n_active += join
+        n_active -= drop
         left[:] = 0.0
         k = np.where(drop, jd, jj)  # the coordinate that joins or drops
-        p = np.argmax(slot == np.where(drop, k, L)[:, None], axis=1)  # its slot or a free one
+        p = (slot == np.where(drop, k, L)[:, None]).argmax(axis=1)  # its slot or a free one
         fd, kd, pd = r[drop], k[drop], p[drop]
         left[fd, kd], th[fd, kd], s[fd, kd] = th[fd, kd], 0.0, 0.0
         fj, kj = r[join], k[join]
-        th[fj, kj] = np.sign(c[join, kj] - t[join] * a[join, kj])
+        th[fj, kj] = np.sign(c[join, kj])
         # One rank-one update Gi += u w^T per event.  A join borders: with
         # v = G[slots, k] and u = Gi v, u_p = -1 and w = u / (G[k, k] - v.u).
         # A drop takes u = Gi[:, p] and w = u / -u_p, so Gi -= u u^T / u_p,
         # then empties slot p.  Retiring frames add zero.
         v = Gz[slot, k[:, None]]
-        u = np.einsum("npq,nq->np", Gi, v)
-        sc = np.where(drop, -Gi[r, p, p], g[k] - np.sum(v * u, axis=1))
+        u = np.matmul(Gi, v[:, :, None])[:, :, 0]
+        sc = np.where(drop, -Gi[r, p, p], g[k] - (v * u).sum(axis=1))
         u[r, p] = -1.0
         u = np.where(drop[:, None], Gi[r, :, p], u)
-        w = np.divide(u, sc[:, None], out=np.zeros_like(u), where=~done[:, None])
+        w = np.divide(u, sc[:, None], out=np.zeros(u.shape), where=~done[:, None])
         Gi += np.einsum("ni,nj->nij", u, w)
         Gi[fd, pd], Gi[fd, :, pd], slot[fd, pd], slot[fj, p[join]] = 0.0, 0.0, L, kj
         if done.any():
             theta[live[done]], level[live[done]] = th[done, :L], lv[done]
             keep = np.flatnonzero(~done)
-            live, th, s, left, c0, lam_l, lv, slot, Gi = (
-                x.take(keep, axis=0) for x in (live, th, s, left, c0, lam_l, lv, slot, Gi))
+            live, th, s, c, left, n_active, lam_l, lv, slot, Gi = (
+                x.take(keep, axis=0)
+                for x in (live, th, s, c, left, n_active, lam_l, lv, slot, Gi))
             n, r = live.size, r[:live.size]
 
     if n:

@@ -52,6 +52,9 @@ DIURNAL_PERIOD = 720.0
 # Rows write_csv formats with one % and writes with one call.
 WRITE_BLOCK_ROWS = 128
 
+# The largest sigma whose sphering scale 3 * sigma is finite.
+SIGMA_MAX = math.nextafter(np.finfo(np.float64).max / 3, 0.0)
+
 
 class CsvFormatError(ValueError):
     """Raised when a dataset file cannot be parsed."""
@@ -351,14 +354,14 @@ def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
 def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Sphere frames X; returns (D, per-frame means).
 
-    Frames must be finite with N >= 1, and sigma finite and positive.
+    Frames must be finite with N >= 1, and sigma positive with 3 * sigma finite.
     """
     X = core._frames(X, None, "X must be a frame")
     if not X.shape[-1]:
         raise ValueError(f"frames have no sensors, got shape {X.shape}")
     core._finite(X)
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma <= SIGMA_MAX:
+        raise ValueError(f"sigma must be positive with 3 * sigma finite, got {sigma}")
     means = np.add.reduce(X, axis=-1) / X.shape[-1]
     # Bit-identical to clip(X - mean, +-3 sigma) / (3 sigma): division is monotone.
     D = X - means[..., None]
@@ -371,10 +374,11 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
 def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
     """Inverse of sphere_rows: x_hat = 3*sigma*d_hat + the row's mean, row by row.
 
-    means holds one mean per row, so its shape is D_hat's without the last axis.
+    means holds one mean per row, so its shape is D_hat's without the last
+    axis.  sigma must be positive with 3 * sigma finite.
     """
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma <= SIGMA_MAX:
+        raise ValueError(f"sigma must be positive with 3 * sigma finite, got {sigma}")
     D_hat = core._frames(D_hat, None, "D_hat must be a frame")
     means = np.asarray(means, dtype=np.float64)
     if means.shape != D_hat.shape[:-1]:

@@ -762,7 +762,7 @@ class TestSphere:
         with pytest.raises(ValueError):
             sphere(np.array([1.0, np.inf]), 1.0)
 
-    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, 1e308])
     def test_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be positive"):
             sphere(np.array([1.0, 2.0]), sigma)
@@ -799,7 +799,7 @@ class TestDesphere:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             desphere_rows(np.zeros((1, 3)), [0.0], -2.0)
-        for sigma in (np.inf, np.nan):
+        for sigma in (np.inf, np.nan, 1e308):
             with pytest.raises(ValueError, match="sigma must be positive"):
                 desphere_rows(np.zeros((1, 3)), [0.0], sigma)
 
