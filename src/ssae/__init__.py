@@ -3,7 +3,7 @@
 A gateway turns each frame of N correlated sensor readings into a sparse
 code with at most K nonzero entries, compresses the code into M linear
 measurements, and ships M+1 numbers to a base station that recovers the
-original frame.  Subpackages:
+original frame.  Modules:
 
 - ``data``       dataset I/O, synthetic generation, frame sphering
 - ``core``       the shrinking sparse autoencoder itself

@@ -16,17 +16,17 @@ for pruning.  Backpropagation treats the pruning mask and the rounding as
 fixed pieces of the forward pass: reconstruction error flows only into
 the surviving units, rounding passes gradients through unchanged.
 
-gradient() returns (cost, grad) from a single forward pass, which is the
-objective contract of trainer.minimize: grad() runs the backward pass
-from the saved forward state on its first call and returns that flat
-array, in SsaeParams.to_vector order, on every later call, so a caller
-that never reads the slope never pays for it.  cost() is gradient()'s
-cost, from the same pass, with the slope never read.
+gradient() is an objective as trainer.minimize takes it, and cost() is
+its cost with the slope never read.
 
 Every layer that takes frames, codes or measurements, here, in baselines,
 in data and in cs's recovery, takes one, (n,), or a batch (B, n) of them:
 a single frame is the B=1 case.  _frames is the one place that rule is
-written.
+written.  Two calls keep a rule of their own.  round_code is elementwise
+on any shape, a 0-d value too, since rounding an entry needs no frame.
+cs.measure takes one code (L,), the gateway's one call per frame: a batch
+form's checks cost that call half again, and a batch row S @ phi.T is not
+bit-equal to phi @ s.
 
 Shrinking is a threshold: one sort per row finds the k-th largest
 magnitude and every entry not below it is kept; only rows where that
@@ -173,14 +173,12 @@ def _matrix(X, what: str = "matrix") -> np.ndarray:
 
 
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k largest-magnitude entries along the last axis.
+    """Boolean mask of the k largest-magnitude entries of each code h.
 
     k is an integer in [1, L].  Ties keep the lower index (stable sort on
     descending magnitude).
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 0:
-        raise ValueError("h must have a last axis of length L, got a 0-d value")
+    h = _frames(h, None, "h must be a code")
     L = h.shape[-1]
     k = _integer("k", k, 1, L)
     # Sorting -|h| ranks NaN last, as the stable sort does, and keeping
@@ -272,14 +270,13 @@ def gradient(
     """(cost, grad) of the objective from one forward pass.
 
     grad() backpropagates from the saved forward state on its first call
-    and returns the same array on every later call; it must cache, since
-    the backward pass overwrites four of the saved arrays: D_hat, S, H*H
-    and 1 + H*H.  The gradient is averaged over the batch, flat in
-    SsaeParams.to_vector order.  The pruning mask is frozen from the
-    forward pass, so reconstruction error reaches only the k surviving
-    units of each frame; rounding is treated as the identity.  The
-    penalty term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches
-    every unit through the first-layer tanh derivative.
+    and caches the result, since the backward pass overwrites four of the
+    saved arrays: D_hat, S, H*H and 1 + H*H.  The gradient is averaged
+    over the batch, flat in SsaeParams.to_vector order.  The pruning mask
+    is frozen from the forward pass, so reconstruction error reaches only
+    the k surviving units of each frame; rounding is treated as the
+    identity.  The penalty term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10)
+    reaches every unit through the first-layer tanh derivative.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")

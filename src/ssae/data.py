@@ -4,8 +4,9 @@ A dataset is a plain float64 array of shape (T, N): one row per time
 instant, one column per sensor.  sphere_rows is the one sphering path: it
 maps each frame, one or a batch (core._frames), into [-1, 1] by removing
 its own mean and scaling by three dataset standard deviations; sphere is
-its B=1 case and desphere_rows the affine inverse.  generate_synthetic is
-the one synthetic source; its noiseless field is the variance-0 case.
+sphere_rows with its two outputs named, and desphere_rows the affine
+inverse.  generate_synthetic is the one synthetic source; its noiseless
+field is the variance-0 case.
 
 Memory: load_csv parses a clean log as a stream of lines, so its peak
 beyond the (T, N) array it returns is a few lines and the array's growth
@@ -75,10 +76,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SpheredFrame:
-    """A frame scaled into [-1, 1] plus the mean that was removed from it."""
+    """sphere_rows' output named: frames d scaled into [-1, 1] and the mean
+    removed from each, a float for one frame (N,) and (B,) for a batch (B, N)."""
 
     d: np.ndarray
-    mean: float
+    mean: float | np.ndarray
 
 
 def _number(cell: str) -> float:
@@ -343,12 +345,8 @@ def generate_synthetic(
 
 
 def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
-    """Sphere one frame (N,): sphere_rows at B=1, returned as a SpheredFrame."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D frame, got shape {x.shape}")
-    d, mean = sphere_rows(x, sigma)
-    return SpheredFrame(d=d, mean=float(mean))
+    """sphere_rows(x, sigma) as a SpheredFrame, for a frame or a batch."""
+    return SpheredFrame(*sphere_rows(x, sigma))
 
 
 def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:

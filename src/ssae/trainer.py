@@ -4,13 +4,6 @@ The training procedure: pool the dataset standard deviation, shuffle the
 rows, split them into contiguous folds, and for each fold minimize the
 autoencoder cost on the sphered training rows while scoring the held-out
 rows through the complete encode/decode round trip in raw sensor units.
-
-The objective contract of minimize: objective(x) returns (cost, grad),
-where grad() gives the gradient at x.  minimize checks every cost but
-calls grad() only where its strong Wolfe line search reads the slope, so
-core.gradient, which runs its backward pass inside grad(), skips it at
-every trial whose slope is not read, such as one that fails sufficient
-decrease.
 """
 
 from __future__ import annotations
@@ -132,10 +125,8 @@ def _zoom(evaluate, x, d, f0, dphi0, a_lo, f_lo, dphi_lo, a_hi, f_hi):
 
 
 def _line_search(evaluate, x, f0, g0, d):
-    """Strong Wolfe search along d; returns (alpha, f, grad) or None."""
+    """Strong Wolfe search along a descent direction d; returns (alpha, f, grad) or None."""
     dphi0 = g0 @ d
-    if dphi0 >= 0:
-        return None
     a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
     a = 1.0
     for i in range(1, MAX_EXPAND + 1):
@@ -161,13 +152,16 @@ def minimize(
 ) -> MinimizeResult:
     """L-BFGS with two-loop recursion and a strong Wolfe line search.
 
-    objective(x) must return (cost, grad), grad a callable taking no
-    arguments that returns the gradient at x, as core.gradient does.
-    Every cost is checked.  grad() is called at most once per evaluation,
-    and only at x0, at a line-search trial whose slope the search reads
-    (it passes sufficient decrease and lies below the bracket's low end)
-    and at the point the search returns.  MinimizeResult.evaluations and
-    .gradients count objective and grad() calls.
+    The objective contract: objective(x) returns (cost, grad), grad a
+    callable taking no arguments that returns the gradient at x, flat
+    like x.  Every cost is checked.  grad() is called at most once per
+    evaluation, and only at x0, at a line-search trial whose slope the
+    search reads (it passes sufficient decrease and lies below the
+    bracket's low end) and at the point the search returns, so an
+    objective that runs its backward pass inside grad(), as core.gradient
+    does, skips it at every other trial.  MinimizeResult.evaluations and
+    .gradients count objective and grad() calls.  x0 is a non-empty 1-D
+    vector.
 
     Stops at max_iterations, at a failed line search with a warning
     message, or when the relative cost decrease falls below convergence_tol
@@ -207,7 +201,9 @@ def minimize(
 
         return f, checked_grad
 
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {x.shape}")
     it = 0  # the iteration evaluate's errors name; x0 is iteration 0
     f, grad = evaluate(x)
     g = grad()

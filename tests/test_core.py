@@ -99,6 +99,15 @@ class TestParams:
         with pytest.raises(ValueError):
             SsaeParams(w1=np.zeros((3, 2)), b1=np.zeros(2),
                        w2=np.zeros((2, 3)), b2=np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape("b2 must have shape (2,), got (3,)")):
+            SsaeParams(w1=np.zeros((3, 2)), b1=np.zeros(3),
+                       w2=np.zeros((2, 3)), b2=np.zeros(3))
+
+    def test_from_vector_names_a_wrong_entry_count(self):
+        # N=5, L=6 take 71 entries: a (1, 71) row holds them but is not a vector.
+        for shape in [(70,), (1, 71)]:
+            with pytest.raises(ValueError, match=re.escape(f"expected 71 entries, got {shape}")):
+                SsaeParams.from_vector(np.zeros(shape), 5, 6)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -229,11 +238,6 @@ class TestShrink:
             shrink(np.zeros(3), 0)
         with pytest.raises(ValueError):
             shrink(np.zeros(3), 4)
-
-    def test_zero_dim_input_rejected(self):
-        for fn in (shrink, shrink_mask):
-            with pytest.raises(ValueError, match="h must have a last axis"):
-                fn(np.float64(1.0), 1)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
     def test_non_integer_k_rejected(self, k):
@@ -448,6 +452,9 @@ FRAME_ENTRIES = {
     "transform": (lambda X: baselines.DctSparsifier(5).transform(X), 5, "x must be a frame", True),
     "encode": (lambda X: baselines.DctSparsifier(5).encode(X, 2), 5, "x must be a frame", True),
     "decode": (lambda S: baselines.DctSparsifier(5).decode(S), 5, "s must be a code", True),
+    "shrink": (lambda H: core.shrink(H, 2), None, "h must be a code", True),
+    "shrink_mask": (lambda H: core.shrink_mask(H, 2), None, "h must be a code", True),
+    "sphere": (lambda X: data.sphere(X, 1.0), None, "X must be a frame", True),
     "sphere_rows": (lambda X: data.sphere_rows(X, 1.0), None, "X must be a frame", True),
     "desphere_rows": (lambda D: data.desphere_rows(D, np.zeros(np.shape(D)[:-1]), 1.0), None,
                       "D_hat must be a frame", True),
@@ -462,6 +469,8 @@ NOT_FRAMES = [pytest.param(entry, shape, id=f"{entry}-{'x'.join(map(str, shape))
 
 def flat_outputs(out) -> list[np.ndarray]:
     """An entry's output as flat arrays; gradient's grad is called."""
+    if isinstance(out, data.SpheredFrame):
+        out = (out.d, out.mean)
     parts = out if isinstance(out, tuple) else (out,)
     return [np.ravel(p() if callable(p) else p) for p in parts]
 

@@ -694,6 +694,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 10)
 
+    @pytest.mark.parametrize("correlation_length", [0.0, -2.0, -math.inf, math.nan])
+    def test_correlation_length_must_be_positive(self, correlation_length):
+        with pytest.raises(ValueError, match="correlation_length must be positive"):
+            generate_synthetic(5, 10, correlation_length)
+
     @pytest.mark.parametrize("n_sensors, n_samples, name", [
         (2.5, 10, "n_sensors"), (23, 10.0, "n_samples"),
     ])
@@ -771,11 +776,9 @@ class TestSphere:
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
     def test_zero_width_frames_rejected(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"no sensors, got shape {shape}")):
-            sphere_rows(np.zeros(shape), 1.0)
-        if len(shape) == 1:
-            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-                sphere(np.zeros(shape), 1.0)
+        for call in (sphere_rows, sphere):
+            with pytest.raises(ValueError, match=re.escape(f"no sensors, got shape {shape}")):
+                call(np.zeros(shape), 1.0)
 
 
 class TestDesphere:
@@ -882,10 +885,6 @@ class TestSphereRowsProperties:
         assert D.shape == D_ref.shape and D.tobytes() == D_ref.tobytes()
         assert np.shape(means) == np.shape(means_ref)
         assert np.asarray(means).tobytes() == np.asarray(means_ref).tobytes()
-
-    def test_sphere_rejects_a_batch(self):
-        with pytest.raises(ValueError, match="1-D frame"):
-            sphere(np.zeros((2, 3)), 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(frames_or_batches(max_abs=1.0), sigmas, st.floats(-1e4, 1e4))

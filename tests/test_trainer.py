@@ -172,6 +172,77 @@ class TestMinimize:
         with pytest.raises(ValueError, match="convergence_tol must be finite and > 0"):
             minimize(objective, np.ones(2), max_iterations=5, convergence_tol=tol)
 
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2)])
+    def test_x0_must_be_a_non_empty_vector(self, shape):
+        def objective(x):
+            return float(np.sum(x * x)), lambda: 2.0 * x
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"x0 must be a non-empty 1-D vector, got shape {shape}")):
+            minimize(objective, np.ones(shape), max_iterations=5)
+
+    def test_gradient_of_another_shape_named(self):
+        def objective(x):
+            return float(x @ x), lambda: np.zeros(3)
+
+        with pytest.raises(ValueError, match=re.escape(
+                "gradient shape (3,) does not match parameter shape (2,)")):
+            minimize(objective, np.ones(2), max_iterations=5)
+
+    def test_line_search_that_never_brackets_fails(self):
+        # Along -g the cost falls without end at a constant slope: every
+        # trial passes sufficient decrease and fails curvature, so the step
+        # doubles MAX_EXPAND times and the search gives up.
+        def objective(x):
+            return float(-x.sum()), lambda: -np.ones_like(x)
+
+        res = minimize(objective, np.zeros(3), max_iterations=5)
+        assert res.message == "line search failed at iteration 1" and not res.converged
+        assert res.evaluations == res.gradients == 1 + trainer.MAX_EXPAND
+        assert res.x.tobytes() == np.zeros(3).tobytes() and res.curve == [(0, 0.0)]
+
+
+def zoom(f, slope, a_lo, a_hi):
+    """trainer._zoom on f along x = a from x = 0, bracket [a_lo, a_hi]; (step, trial points)."""
+    trials = []
+
+    def evaluate(x):
+        a = float(x[0])
+        trials.append(a)
+        return f(a), lambda: np.array([slope(a)])
+
+    step = trainer._zoom(evaluate, np.zeros(1), np.ones(1), f(0.0), slope(0.0),
+                         a_lo, f(a_lo), slope(a_lo), a_hi, f(a_hi))
+    return step, trials
+
+
+# |f'| = 10 wherever it is read, so no trial meets the curvature condition.
+def vee(a):
+    return 10.0 * abs(a - 1.0)
+
+
+def vee_slope(a):
+    return 10.0 * float(np.sign(a - 1.0))
+
+
+class TestZoom:
+    def test_trial_past_the_minimum_makes_the_low_end_the_far_end(self):
+        # The first trial, 1.125, lies past the minimum at 1 with a rising
+        # slope, so the bracket becomes [1.125, 0] and the next trial lies
+        # below it; had [1.125, 3] been kept, it would lie above.
+        step, trials = zoom(vee, vee_slope, 0.0, 3.0)
+        assert trials[0] == 1.125 and trials[1] < 1.125
+        assert len(trials) == trainer.MAX_ZOOM
+        assert step[1] == min(vee(a) for a in trials)
+
+    def test_collapsed_bracket_settles_for_the_best_sufficient_decrease(self):
+        # A bracket two ulps wide: its first trial is its low end, the
+        # bracket collapses there, and that point, which passes sufficient
+        # decrease, is returned.
+        step, trials = zoom(vee, vee_slope, 1.0, 1.0 + 2 * np.finfo(float).eps)
+        assert trials == [1.0]
+        assert step[:2] == (1.0, 0.0)
+
 
 class TestGammaForEta:
     """The "auto" gamma is a function of the sparsity ratio eta = K/L alone."""
@@ -280,6 +351,13 @@ class TestTrain:
         X = tiny_dataset(n_samples=80)
         train(X, TrainingConfig(n_hidden=4, k_max=2, folds=4, max_iterations=3))
         assert rows == [80, 20, 20, 20, 20]
+
+    def test_non_finite_cost_names_its_fold(self, monkeypatch):
+        monkeypatch.setattr(core, "gradient", lambda *args: (math.nan, None))
+        X = tiny_dataset(n_samples=20)
+        with pytest.raises(FloatingPointError,
+                           match="^fold 1: non-finite cost at iteration 0$"):
+            train(X, TrainingConfig(n_hidden=4, k_max=2, folds=2, max_iterations=3))
 
     def test_too_few_rows(self):
         X = tiny_dataset(n_samples=5)
