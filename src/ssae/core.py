@@ -208,10 +208,11 @@ def shrink(h: np.ndarray, k: int) -> np.ndarray:
 def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     """Round each entry to `places` decimals, halves away from zero.
 
-    Exact zeros stay zero, so the nonzero count never increases.  Entries
-    with |s| >= 2**52 / 10**places are already whole at that precision
-    and are returned unchanged, so finite codes stay finite.  places is an
-    integer in [0, 308]: 10**309 is beyond float64.
+    Exact zeros stay zero, so the nonzero count never increases.  Every
+    entry keeps its sign, zeros included: -0.0 and -0.0004 both round to
+    -0.0.  Entries with |s| >= 2**52 / 10**places are already whole at
+    that precision and are returned unchanged, so finite codes stay
+    finite.  places is an integer in [0, 308]: 10**309 is beyond float64.
     """
     places = _integer("places", places, 0, 308)
     s = np.asarray(s, dtype=np.float64)
@@ -227,9 +228,8 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
     r *= f
     r += 0.5
     np.floor(r, out=r)
-    r *= np.sign(s)
     r /= f
-    return r
+    return np.copysign(r, s, out=r)
 
 
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
@@ -277,6 +277,10 @@ def gradient(
     the k surviving units of each frame; rounding is treated as the
     identity.  The penalty term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10)
     reaches every unit through the first-layer tanh derivative.
+
+    Both passes zero the pruned units by multiplying with the mask, so a
+    pruned unit may hold -0; matrix products and sums add from +0, so no
+    output reads that sign.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -284,7 +288,7 @@ def gradient(
     T = D.shape[0]
     H = hidden_activation(params, D)
     mask = shrink_mask(H, k)
-    S = np.where(mask, H, 0.0)
+    S = np.multiply(H, mask)
     if rounding_places is not None:
         S = round_code(S, rounding_places)
     D_hat = reconstruct(params, S)
@@ -306,11 +310,11 @@ def gradient(
 
 
 def _backward(params, gamma, D, H, HH, one_plus_HH, mask, S, D_hat, err):
-    """Backpropagate one forward pass; allocates only dh.
+    """Backpropagate one forward pass; allocates no (T, L) array.
 
     Each saved array is overwritten once its last reader is done: D_hat
-    holds delta2, S the penalty term, one_plus_HH delta2 @ W2 and HH
-    1 - h^2.
+    holds delta2, S the penalty term, one_plus_HH delta2 @ W2 and then dh,
+    and HH 1 - h^2.
     """
     T = D.shape[0]
 
@@ -320,12 +324,13 @@ def _backward(params, gamma, D, H, HH, one_plus_HH, mask, S, D_hat, err):
     g_w2 = delta2.T @ S / T                        # (N, L)
     g_b2 = delta2.sum(axis=0) / T                  # (N,)
 
-    penalty = np.multiply(2.0, H, out=S)           # gamma * 2h / ((1 + h^2) ln 10)
-    penalty *= gamma
+    # gamma * 2h / ((1 + h^2) ln 10); h * (2 gamma) is (2h) * gamma, as
+    # doubling is exact while 2 gamma is finite (gamma < 2**1023)
+    penalty = np.multiply(H, 2.0 * gamma, out=S)
     one_plus_HH *= _LN10
     penalty /= one_plus_HH
-    back = np.matmul(delta2, params.w2, out=one_plus_HH)  # penalty has read one_plus_HH
-    dh = np.where(mask, back, 0.0)                 # (T, L); pruned units get nothing
+    dh = np.matmul(delta2, params.w2, out=one_plus_HH)  # penalty has read one_plus_HH
+    np.multiply(dh, mask, out=dh)                  # (T, L); pruned units get nothing
     dh += penalty
     np.subtract(1.0, HH, out=HH)                   # delta1 = dh * (1 - h^2)
     dh *= HH

@@ -303,6 +303,20 @@ class TestRoundCode:
         s = np.array([1.2345, -0.0005, 0.0])
         assert round_code(s, places).tobytes() == round_code(s, 3).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda places: st.tuples(st.just(places), hnp.arrays(
+        np.float64, st.integers(1, 12), elements=st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-1.0 / 10.0 ** places, 1.0 / 10.0 ** places),  # round to +-0 or +-1/f
+            st.floats(-2.0 ** 52 / 10.0 ** places, 2.0 ** 52 / 10.0 ** places,
+                      exclude_min=True, exclude_max=True))))))
+    @example(case=(3, np.array([-0.0, 0.0, -0.0004, 0.0004, -0.0005, 1.2345])))
+    def test_every_entry_keeps_its_sign(self, case):
+        places, s = case
+        f = 10.0 ** places
+        expected = np.copysign(np.floor(np.abs(s) * f + 0.5) / f, s)
+        assert round_code(s, places).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("s", [2.5, -0.1235, np.float64(0.1234), np.array(-0.0004),
                                    np.float64(1e300), math.nan])
     @pytest.mark.parametrize("places", [0, 3])
@@ -763,22 +777,39 @@ def traced_peak(fn) -> int:
 
 
 class TestGradient:
-    # (N, L, T, k, gamma, places): gamma 0, no rounding, k = L and T = 1.
-    @pytest.mark.parametrize("N, L, T, k, gamma, places", [
-        (23, 25, 400, 5, 0.3, 3),
-        (23, 25, 400, 5, 0.0, 3),
-        (23, 25, 400, 5, 0.3, None),
-        (23, 25, 400, 25, 0.3, 3),
-        (23, 25, 1, 5, 0.3, 3),
-        (4, 6, 1, 6, 0.0, None),
-    ])
-    def test_backward_bits_equal_the_allocating_backward(self, N, L, T, k, gamma, places):
+    # (N, L, T, k, gamma, places), pruned: gamma 0, no rounding, k = L, T = 1,
+    # and unit 0 pruned in every row.
+    @pytest.mark.parametrize("N, L, T, k, gamma, places, pruned", [
+        pytest.param(*case, pruned, id="-".join(map(str, case)) + "-pruned" * pruned)
+        for case, pruned in [
+            ((23, 25, 400, 5, 0.3, 3), False),
+            ((23, 25, 400, 5, 0.0, 3), False),
+            ((23, 25, 400, 5, 0.3, None), False),
+            ((23, 25, 400, 25, 0.3, 3), False),
+            ((23, 25, 1, 5, 0.3, 3), False),
+            ((4, 6, 1, 6, 0.0, None), False),
+            ((23, 25, 400, 5, 0.0, 3), True),
+        ]])
+    def test_backward_bits_equal_the_allocating_backward(self, N, L, T, k, gamma, places,
+                                                          pruned):
         rng = np.random.default_rng(N * L + T + k)
         p = random_params(rng, N, L)
         D = rng.uniform(-0.9, 0.9, (T, N))
+        if pruned:
+            # Unit 0 is the smallest and negative in every row, and b2 puts
+            # every D_hat above D, so delta2 > 0 and delta2 @ W2 < 0 in its
+            # column: the mask product leaves -0 there, and with gamma 0
+            # the penalty adds -0, so its whole column of dh is -0.
+            p.w1[0], p.b1[0], p.b2[:] = 0.0, -1e-6, 4.0
+            p.w2[:, 0] = -np.abs(p.w2[:, 0])
         _, grad = gradient(p, D, gamma, k, rounding_places=places)
         g = grad()
-        ref = allocating_backward(p, gamma, *saved_forward(p, D, gamma, k, places))
+        state = saved_forward(p, D, gamma, k, places)
+        if pruned:
+            _, H, _, _, mask, _, D_hat, err = state
+            back = (err * (1.0 - D_hat * D_hat)) @ p.w2
+            assert not mask[:, 0].any() and (H[:, 0] < 0).all() and (back[:, 0] < 0).all()
+        ref = allocating_backward(p, gamma, *state)
         assert g.tobytes() == ref.tobytes()
         assert grad() is g and g.tobytes() == ref.tobytes()
 
