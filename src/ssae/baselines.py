@@ -7,19 +7,6 @@ single frame is the B=1 case of a batch (core._frames).  Sparsification
 keeps the K largest-magnitude coefficients through the same pruning
 operation the autoencoder uses, so all methods are compared on identical
 code paths.
-
-The kinds differ only in the basis they build:
-
-- DCT: the orthonormal type-II discrete cosine transform, from one complex
-  FFT by Makhoul's reordering (IEEE TASSP 1980), within 2.2e-16 of
-  scipy.fft.dct's basis; the mean is zero.
-- DFT: a real-valued packing of the orthonormal discrete Fourier transform:
-  the DC term, then interleaved real and imaginary parts of the positive
-  frequencies (each scaled by sqrt 2), and the Nyquist term for even N.  A
-  kept complex frequency therefore consumes two of the K slots, which keeps
-  the sparsity accounting honest in real numbers.  The mean is zero.
-- PCA: the eigenvectors of the training covariance, sorted by descending
-  eigenvalue, and the training mean.
 """
 
 from __future__ import annotations
@@ -66,7 +53,7 @@ class Sparsifier:
 
 
 class DctSparsifier(Sparsifier):
-    """Orthonormal type-II DCT from np.fft.fft by Makhoul's reordering.
+    """Orthonormal type-II DCT from one np.fft.fft, by Makhoul (IEEE TASSP 1980).
 
     Even samples, then odd ones reversed, are transformed; frequency k is
     twiddled by exp(-i pi k / 2N), and the real part is scaled by sqrt(2/N),
@@ -84,7 +71,13 @@ class DctSparsifier(Sparsifier):
 
 
 class DftSparsifier(Sparsifier):
-    """Orthonormal real-packed discrete Fourier transform."""
+    """Orthonormal real-packed discrete Fourier transform.
+
+    Rows are the DC term, then interleaved real and imaginary parts of the
+    positive frequencies (each scaled by sqrt 2), and the Nyquist term for
+    even N.  A kept complex frequency therefore consumes two of the K
+    slots, which keeps the sparsity accounting honest in real numbers.
+    """
 
     kind = "dft"
 

@@ -12,12 +12,8 @@ The training objective over T frames is
   + (gamma/T) sum_u sum_j log10(1 + h_uj^2)
 
 where the penalty acts on the pre-shrink activations and nominates units
-for pruning.  Backpropagation treats the pruning mask and the rounding as
-fixed pieces of the forward pass: reconstruction error flows only into
-the surviving units, rounding passes gradients through unchanged.
-
-gradient() is an objective as trainer.minimize takes it, and cost() is
-its cost with the slope never read.
+for pruning.  An evaluation works in place in the operand order of these
+formulas, so its bits equal theirs.
 
 Every layer that takes frames, codes or measurements, here, in baselines,
 in data and in cs's recovery, takes one, (n,), or a batch (B, n) of them:
@@ -25,14 +21,8 @@ a single frame is the B=1 case.  _frames is the one place that rule is
 written.  Two calls keep a rule of their own.  round_code is elementwise
 on any shape, a 0-d value too, since rounding an entry needs no frame.
 cs.measure takes one code (L,), the gateway's one call per frame: a batch
-form's checks cost that call half again, and a batch row S @ phi.T is not
+form's checks would slow that call, and a batch row S @ phi.T is not
 bit-equal to phi @ s.
-
-Shrinking is a threshold: one sort per row finds the k-th largest
-magnitude and every entry not below it is kept; only rows where that
-keeps more than k (a tie at the threshold, or a NaN) are redone by a
-stable sort, so ties keep the lower index.  An evaluation works in place
-in the operand order of the formulas above, so its bits equal theirs.
 """
 
 from __future__ import annotations
@@ -175,8 +165,10 @@ def _matrix(X, what: str = "matrix") -> np.ndarray:
 def shrink_mask(h: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest-magnitude entries of each code h.
 
-    k is an integer in [1, L].  Ties keep the lower index (stable sort on
-    descending magnitude).
+    k is an integer in [1, L].  One sort per row finds the k-th largest
+    magnitude and every entry not below it is kept; only rows where that
+    keeps more than k (a tie at the threshold, or a NaN) are redone by a
+    stable sort on descending magnitude, so ties keep the lower index.
     """
     h = _frames(h, None, "h must be a code")
     L = h.shape[-1]
@@ -252,7 +244,7 @@ def cost(
     k: int,
     rounding_places: int | None = 3,
 ) -> float:
-    """Mean reconstruction error plus the activation sparsity penalty.
+    """Mean reconstruction error plus the activation sparsity penalty: gradient's cost.
 
     rounding_places=None skips code rounding; pass None when checking
     gradients against finite differences, since rounding is a staircase.
@@ -270,13 +262,13 @@ def gradient(
     """(cost, grad) of the objective from one forward pass.
 
     grad() backpropagates from the saved forward state on its first call
-    and caches the result, since the backward pass overwrites four of the
-    saved arrays: D_hat, S, H*H and 1 + H*H.  The gradient is averaged
-    over the batch, flat in SsaeParams.to_vector order.  The pruning mask
-    is frozen from the forward pass, so reconstruction error reaches only
-    the k surviving units of each frame; rounding is treated as the
-    identity.  The penalty term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10)
-    reaches every unit through the first-layer tanh derivative.
+    and caches the result, since the backward pass overwrites its saved
+    arrays.  The gradient is averaged over the batch, flat in
+    SsaeParams.to_vector order.  The pruning mask is frozen from the
+    forward pass, so reconstruction error reaches only the k surviving
+    units of each frame; rounding is treated as the identity.  The penalty
+    term d/dh log10(1 + h^2) = 2h / ((1 + h^2) ln 10) reaches every unit
+    through the first-layer tanh derivative.
 
     Both passes zero the pruned units by multiplying with the mask, so a
     pruned unit may hold -0; matrix products and sums add from +0, so no

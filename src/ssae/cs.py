@@ -4,18 +4,7 @@ A sparse length-L code is compressed to M < L numbers by one flat random
 matrix; both ends regenerate the matrix from (M, L, seed), so it is never
 transmitted or stored.  Recovery solves the l1-penalized least squares
 problem exactly by the lasso homotopy (Osborne, Presnell & Turlach 2000;
-Efron et al. 2004) vectorized over frames: each frame walks its own
-active-set path and retires at its own penalty, so its code meets the KKT
-conditions to rounding.  Its path and support do not depend on the rest of
-its batch, and neither does the closing solve, which takes each frame's
-active Gram matrix at its own size.  A frame's code differs from its row
-in a batch only through Y @ phi: BLAS runs that product as matrix-vector
-or matrix-matrix depending on the batch's shape.
-Steps touch live frames only.  Each carries its correlations
-phi^T (y - phi s) along the path and keeps the inverse of its active Gram
-matrix.  A step's one event, a join or a drop, changes that inverse by one
-rank-one update, the same for both (Donoho & Tsaig 2008), so no step
-solves a linear system.
+Efron et al. 2004), vectorized over frames.
 """
 
 from __future__ import annotations
@@ -122,11 +111,14 @@ def lasso_recover_batch(
     non-finite entry of phi raises a ValueError naming its row and column,
     one of Y its frame and measurement, and one of lam its frame.
 
-    State is kept for live frames only.  Each holds its active set in up to
-    min(M, L) slots and the inverse of G_AA over them, changed by one
-    rank-one update Gi += u w^T per join or drop; the code returned is one
-    fresh solve of G_AA at each frame's final support and penalty, at that
-    support's size, so it does not depend on the batch.  Any finite phi is
+    State is kept for live frames only.  Each carries its correlations
+    phi^T (y - phi s) along the path and the inverse of G_AA over its
+    active set, held in up to min(M, L) slots and changed by one rank-one
+    update Gi += u w^T per join or drop (Donoho & Tsaig 2008), so no step
+    solves a linear system.  The code returned is one fresh solve of G_AA
+    at each frame's final support and penalty, at that support's size, so
+    only Y @ phi ties it to the batch: BLAS runs that product as
+    matrix-vector or matrix-matrix by the batch's shape.  Any finite phi is
     accepted, M > L too; the later column of a twin pair (phi_j = +-phi_i)
     never joins, as its correlation ties the earlier one's.
     """

@@ -4,20 +4,9 @@ A dataset is a plain float64 array of shape (T, N): one row per time
 instant, one column per sensor.  sphere_rows is the one sphering path: it
 maps each frame, one or a batch (core._frames), into [-1, 1] by removing
 its own mean and scaling by three dataset standard deviations; sphere is
-sphere_rows with its two outputs named, and desphere_rows the affine
+the same function under the gateway's name, and desphere_rows the affine
 inverse.  generate_synthetic is the one synthetic source; its noiseless
 field is the variance-0 case.
-
-Memory: load_csv parses a clean log as a stream of lines, so its peak
-beyond the (T, N) array it returns is a few lines and the array's growth
-slack.  No path holds the file, its text or its rows, except for a bare
-reader that cannot seek, which is read whole first.  write_csv formats
-and writes WRITE_BLOCK_ROWS rows at a time, to a path (plain UTF-8 text
-whatever its suffix, ".gz" too) or a text or bytes file object, so its
-peak beyond the matrix is one block of text.  generate_synthetic
-builds the field in one (T, N) buffer and adds it into the noise in
-place, so its peak is about two (T, N) arrays: the field and the spread
-it is computed from, or the field and the noise.
 """
 
 from __future__ import annotations
@@ -29,6 +18,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,13 +64,12 @@ class NoiseSpec:
         object.__setattr__(self, "seed", core._integer("seed", self.seed, 0))
 
 
-@dataclass(frozen=True)
-class SpheredFrame:
-    """sphere_rows' output named: frames d scaled into [-1, 1] and the mean
-    removed from each, a float for one frame (N,) and (B,) for a batch (B, N)."""
+class SpheredFrame(NamedTuple):
+    """sphere_rows' result: the sphered frames d and their means, an
+    np.float64 for one frame (N,) and (B,) for a batch (B, N)."""
 
     d: np.ndarray
-    mean: float | np.ndarray
+    mean: np.float64 | np.ndarray
 
 
 def _number(cell: str) -> float:
@@ -117,14 +106,15 @@ def load_csv(source) -> np.ndarray:
     the first byte that is not UTF-8.
 
     The source is read from its current position as one stream of
-    "\\n"-separated lines, bytes decoded as UTF-8, less one leading
-    byte-order mark (spreadsheets start a "CSV UTF-8" export with one),
-    and clean numeric lines go to np.loadtxt as they are read.  If it
-    rejects them, or reads a non-finite value, the same lines are read
-    again, row by row, by a cell-by-cell parser that names the first
-    offending row and column, so every input gives the same array or the
-    same error either way.  Of two faults, the first in reading order is
-    named: a bad cell in row 1 before a byte that is not UTF-8 on line 3.
+    "\\n"-separated lines, bytes decoded as UTF-8, less one leading byte-order
+    mark (spreadsheets start a "CSV UTF-8" export with one); a reader that
+    cannot seek is read whole first.  Clean numeric lines go to np.loadtxt as
+    they are read, so the peak beyond the array is a few lines and its growth
+    slack.  If it rejects them, or reads a non-finite value, the same lines are
+    read again, row by row, by a cell-by-cell parser that names the first
+    offending row and column, so every input gives the same array or the same
+    error either way.  Of two faults, the first in reading order is named: a
+    bad cell in row 1 before a byte that is not UTF-8 on line 3.
     """
     if not hasattr(source, "read"):
         with open(os.fspath(source), "rb") as fh:
@@ -293,7 +283,9 @@ def generate_synthetic(
 
     Deterministic given its arguments.  The field and the noise are drawn
     from separate streams spawned from noise.seed, so the field never
-    depends on noise.variance.
+    depends on noise.variance.  The field is built in one (T, N) buffer
+    and added into the noise in place, so the peak is about two (T, N)
+    arrays: the field and its spread, or the field and the noise.
     """
     n_sensors = core._integer("n_sensors", n_sensors, 2)
     n_samples = core._integer("n_samples", n_samples, 1)
@@ -344,13 +336,8 @@ def generate_synthetic(
     return z
 
 
-def sphere(x: np.ndarray, sigma: float) -> SpheredFrame:
-    """sphere_rows(x, sigma) as a SpheredFrame, for a frame or a batch."""
-    return SpheredFrame(*sphere_rows(x, sigma))
-
-
-def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere frames X; returns (D, per-frame means).
+def sphere_rows(X: np.ndarray, sigma: float) -> SpheredFrame:
+    """Sphere frames X, one or a batch; returns SpheredFrame(d, mean).
 
     Frames must be finite with N >= 1, and sigma positive with 3 * sigma finite.
     """
@@ -366,7 +353,11 @@ def sphere_rows(X: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     D /= 3.0 * sigma
     np.maximum(D, -1.0, out=D)
     np.minimum(D, 1.0, out=D)
-    return D, means
+    return SpheredFrame(D, means)
+
+
+# The gateway's name; it goes with ROADMAP item 5, as bench/tracing.py wraps both.
+sphere = sphere_rows
 
 
 def desphere_rows(D_hat: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:

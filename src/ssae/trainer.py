@@ -1,10 +1,4 @@
-"""Offline training: shuffling, k-fold cross-validation, L-BFGS.
-
-The training procedure: pool the dataset standard deviation, shuffle the
-rows, split them into contiguous folds, and for each fold minimize the
-autoencoder cost on the sphered training rows while scoring the held-out
-rows through the complete encode/decode round trip in raw sensor units.
-"""
+"""Offline training: shuffling, k-fold cross-validation, L-BFGS."""
 
 from __future__ import annotations
 

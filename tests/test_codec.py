@@ -34,13 +34,9 @@ def encode(codec, kind, X):
     """Rounded codes and frame means of frames X, (B, N) or one frame (N,)."""
     params, sigma, sparsifiers, _ = codec
     if kind == "ssae":
-        if X.ndim == 1:
-            f = data.sphere(X, sigma)
-            D, means = f.d, f.mean
-        else:
-            D, means = data.sphere_rows(X, sigma)
-        H = core.hidden_activation(params, D)
-        return core.round_code(core.shrink(H, K), PLACES), means
+        f = data.sphere(X, sigma)
+        H = core.hidden_activation(params, f.d)
+        return core.round_code(core.shrink(H, K), PLACES), f.mean
     means = X.mean(axis=-1)
     centred = X - (means[:, None] if X.ndim == 2 else means)
     return core.round_code(sparsifiers[kind].encode(centred, K), PLACES), means

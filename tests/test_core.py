@@ -483,8 +483,6 @@ NOT_FRAMES = [pytest.param(entry, shape, id=f"{entry}-{'x'.join(map(str, shape))
 
 def flat_outputs(out) -> list[np.ndarray]:
     """An entry's output as flat arrays; gradient's grad is called."""
-    if isinstance(out, data.SpheredFrame):
-        out = (out.d, out.mean)
     parts = out if isinstance(out, tuple) else (out,)
     return [np.ravel(p() if callable(p) else p) for p in parts]
 

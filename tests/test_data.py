@@ -18,6 +18,7 @@ from ssae import data
 from ssae.data import (
     CsvFormatError,
     NoiseSpec,
+    SpheredFrame,
     dataset_std,
     desphere_rows,
     generate_synthetic,
@@ -830,6 +831,15 @@ class TestSphereRows:
             f = sphere(X[i], 1.5)
             np.testing.assert_array_equal(D[i], f.d)
             assert means[i] == f.mean
+        # sphere is sphere_rows, and its result names (d, mean) for a frame or a batch.
+        assert sphere is sphere_rows
+        for x in (X[0], X):
+            f = sphere(x, 1.5)
+            assert isinstance(f, SpheredFrame)
+            assert f.d.shape == x.shape and f.d.tobytes() == f[0].tobytes()
+            assert np.shape(f.mean) == x.shape[:-1]
+            assert np.asarray(f.mean).tobytes() == np.asarray(f[1]).tobytes()
+        assert type(sphere(X[0], 1.5).mean) is np.float64
 
     def test_names_the_first_non_finite_frame_and_sensor(self):
         X = np.zeros((40, 6))
