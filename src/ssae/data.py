@@ -108,13 +108,13 @@ def load_csv(source) -> np.ndarray:
     The source is read from its current position as one stream of
     "\\n"-separated lines, bytes decoded as UTF-8, less one leading byte-order
     mark (spreadsheets start a "CSV UTF-8" export with one); a reader that
-    cannot seek is read whole first.  Clean numeric lines go to np.loadtxt as
-    they are read, so the peak beyond the array is a few lines and its growth
-    slack.  If it rejects them, or reads a non-finite value, the same lines are
-    read again, row by row, by a cell-by-cell parser that names the first
-    offending row and column, so every input gives the same array or the same
-    error either way.  Of two faults, the first in reading order is named: a
-    bad cell in row 1 before a byte that is not UTF-8 on line 3.
+    cannot seek is read whole first.  A log in write_csv's shape goes to
+    np.loadtxt as it is read (_load_numeric), so the peak beyond the array is
+    a few lines and its growth slack.  Any other text is read again, row by
+    row, by a cell-by-cell parser that names the first offending row and
+    column, so every input gives the same array or the same error either way.
+    Of two faults, the first in reading order is named: a bad cell in row 1
+    before a byte that is not UTF-8 on line 3.
     """
     if not hasattr(source, "read"):
         with open(os.fspath(source), "rb") as fh:
@@ -142,69 +142,57 @@ def _utf8_lines(stream):
 
 
 def _load_numeric(lines) -> np.ndarray | None:
-    """np.loadtxt parse of str lines that are all finite numbers; None otherwise.
-
-    lines is read once: csv.reader finds the first row, whose lines are
-    kept in seen, and np.loadtxt parses the rest as they come.
-    """
-    lines, seen = iter(lines), []
+    """np.loadtxt's array from str lines in write_csv's shape, an optional
+    one-line header and then finite numbers; None for any other lines."""
+    lines = iter(lines)
     try:
-        reader = csv.reader(seen.append(line) or line for line in lines)
-        first = next((row for row in reader if row), None)
-        if first is None:
-            return None
-        if _is_header(first):
-            seen.clear()
-            for line in lines:
-                seen.append(line)
-                if line.strip():
-                    break
-            else:
-                return None  # np.loadtxt would warn that it found no data
-        X = np.loadtxt(itertools.chain(seen, lines), delimiter=",", comments=None, ndmin=2)
+        line = next(lines, "")
+        # strict: a quoted cell still open at the end of the line raises, so a
+        # header whose cell spans lines is declined rather than read as data.
+        if _is_header(next(csv.reader([line], strict=True))):
+            line = next(lines, "")
+        if not line.strip():
+            return None  # np.loadtxt would warn that it found no data
+        X = np.loadtxt(itertools.chain([line], lines), delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):  # CsvFormatError and UnicodeDecodeError are ValueErrors
         return None
     return X if X.size and np.isfinite(X).all() else None
 
 
 def _load_rows(lines) -> np.ndarray:
-    """The cell parser: str lines read once, row by row, into one growing buffer."""
-    rows = ((lineno, row) for lineno, row in enumerate(_csv_rows(lines), start=1) if row)
-    first = next(rows, None)
-    if first is None:
-        raise CsvFormatError("empty CSV: no data rows")
-    if _is_header(first[1]):
+    """The cell parser: str lines read once, row by row, into one growing
+    buffer; a csv.Error becomes a CsvFormatError naming its line."""
+    reader = csv.reader(lines)
+    rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if row)
+    try:
         first = next(rows, None)
         if first is None:
-            raise CsvFormatError("CSV contains only a header, no data rows")
-    width, out = len(first[1]), array("d")
-    for lineno, row in itertools.chain((first,), rows):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"row {lineno}: expected {width} fields, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                value = _number(cell)
-            except ValueError:
+            raise CsvFormatError("empty CSV: no data rows")
+        if _is_header(first[1]):
+            first = next(rows, None)
+            if first is None:
+                raise CsvFormatError("CSV contains only a header, no data rows")
+        width, out = len(first[1]), array("d")
+        for lineno, row in itertools.chain((first,), rows):
+            if len(row) != width:
                 raise CsvFormatError(
-                    f"row {lineno}, column {j + 1}: not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise CsvFormatError(
-                    f"row {lineno}, column {j + 1}: non-finite value {cell!r}"
+                    f"row {lineno}: expected {width} fields, found {len(row)}"
                 )
-            out.append(value)
-    return np.frombuffer(out).reshape(-1, width)
-
-
-def _csv_rows(lines):
-    """csv.reader over str lines; a CsvFormatError naming the line of a csv.Error."""
-    reader = csv.reader(lines)
-    try:
-        yield from reader
+            for j, cell in enumerate(row):
+                try:
+                    value = _number(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"row {lineno}, column {j + 1}: not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"row {lineno}, column {j + 1}: non-finite value {cell!r}"
+                    )
+                out.append(value)
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+    return np.frombuffer(out).reshape(-1, width)
 
 
 def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None:

@@ -204,6 +204,11 @@ class TestLoadCsvFastPath:
     @example("a,b\n\n\r\n")  # np.loadtxt would warn: no data after the header
     @example("1,2\x0c3,4\n")  # str.splitlines would end a line at the form feed
     @example("0,\x1c0")  # np.loadtxt strips \x1c-\x1f around a number, float does not
+    @example('"_\n0')  # a header whose quoted cell spans both lines, and no data
+    @example("\ns1,s2\n1,2\n")  # a header after a blank line
+    @example("s1,s2\n\n1,2\n")  # a blank line after the header
+    @example("s1,s2\n")
+    @example("")
     def test_same_array_or_error_as_the_cell_parser(self, text):
         fast = parse_outcome(lambda t: load_csv(io.StringIO(t)), text)
         slow = parse_outcome(data._load_rows, io.StringIO(text))
@@ -219,12 +224,21 @@ class TestLoadCsvFastPath:
             other = parse_outcome(load_csv, stream)
             assert same_outcome(by_path, other), (by_path, other)
 
-    def test_log_with_header_takes_the_fast_path(self):
+    @pytest.mark.parametrize("header", [[f"s{j}" for j in range(23)], None],
+                             ids=["header", "no-header"])
+    def test_written_log_takes_the_fast_path(self, header):
         X = generate_synthetic(23, 200, noise=NoiseSpec(variance=0.01, seed=3))
         sink = io.StringIO()
-        write_csv(X, sink, header=[f"s{j}" for j in range(23)])
+        write_csv(X, sink, header=header)
         fast = data._load_numeric(io.StringIO(sink.getvalue()))
         assert fast is not None and same_outcome(fast, X)
+
+    @pytest.mark.parametrize("text", ['"_\n0', "\ns1,s2\n1,2\n", "s1,s2\n\n1,2\n", "s1,s2\n", ""])
+    def test_other_shapes_are_left_to_the_cell_parser(self, text):
+        assert data._load_numeric(io.StringIO(text)) is None
+        fast = parse_outcome(lambda t: load_csv(io.StringIO(t)), text)
+        slow = parse_outcome(data._load_rows, io.StringIO(text))
+        assert same_outcome(fast, slow), (fast, slow)
 
 
 def loadtxt_reads(cell: str) -> bool:
