@@ -35,13 +35,10 @@ class Sparsifier:
         self.code_length = components.shape[0]
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of frames in the basis.
-
-        A non-finite reading raises a ValueError naming its frame and sensor.
-        """
+        """Coefficients of frames; a ValueError names a non-finite reading's frame and sensor."""
         x = core._frames(x, self.code_length, "x must be a frame")
         core._finite(x)
-        return (x - self.mean) @ self.components.T
+        return (x - self.mean).dot(self.components.T)
 
     def encode(self, x: np.ndarray, k: int) -> np.ndarray:
         """Transform then keep the k largest-magnitude coefficients of each frame."""
@@ -49,7 +46,7 @@ class Sparsifier:
 
     def decode(self, s: np.ndarray) -> np.ndarray:
         """Frames from codes; the inverse of transform."""
-        return core._frames(s, self.code_length, "s must be a code") @ self.components + self.mean
+        return core._frames(s, self.code_length, "s must be a code").dot(self.components) + self.mean
 
 
 class DctSparsifier(Sparsifier):

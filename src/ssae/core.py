@@ -22,7 +22,13 @@ written.  Two calls keep a rule of their own.  round_code is elementwise
 on any shape, a 0-d value too, since rounding an entry needs no frame.
 cs.measure takes one code (L,), the gateway's one call per frame: a batch
 form's checks would slow that call, and a batch row S @ phi.T is not
-bit-equal to phi @ s.
+bit-equal to phi.dot(s).
+
+A frame's products, here, in baselines and in cs.measure, are ndarray.dot
+calls: a C-contiguous frame or batch times a weight matrix or its transpose
+is the BLAS call @ makes, bit for bit, 0.5-0.9 us sooner (numpy 2.4).
+Strided or stacked operands keep @ or np.matmul: dot copies a strided one
+(cs's d @ G on (250, 25): 12 us, d.dot(G) 16-18 us) and does not batch a stack.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def hidden_activation(params: SsaeParams, d: np.ndarray) -> np.ndarray:
 
 def _tanh_layer(x, w: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """tanh(x @ w.T + b) of frames x; _frames names what on a bad shape."""
-    Z = _frames(x, w.shape[1], what) @ w.T
+    Z = _frames(x, w.shape[1], what).dot(w.T)
     Z += b
     return np.tanh(Z, out=Z)
 

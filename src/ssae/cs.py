@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +26,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """The per-frame payload: M measurements plus the frame mean."""
+class Measurement(NamedTuple):
+    """The per-frame result of measure, a NamedTuple: M measurements y and the
+    frame mean; payload is every transmitted value, y then the mean (M + 1)."""
 
     y: np.ndarray
     frame_mean: float
 
     @property
     def payload(self) -> np.ndarray:
-        """All transmitted values: y followed by the frame mean (M + 1 numbers)."""
         out = np.empty(len(self.y) + 1)
         out[:-1] = self.y
         out[-1] = self.frame_mean
@@ -72,13 +71,11 @@ def measure(phi: np.ndarray, s: np.ndarray, frame_mean: float) -> Measurement:
     phi = np.asarray(phi, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if phi.ndim != 2 or s.ndim != 1 or phi.shape[1] != s.shape[0]:
-        raise ValueError(
-            f"matrix {phi.shape} and code {s.shape} are not compatible"
-        )
+        raise ValueError(f"matrix {phi.shape} and code {s.shape} are not compatible")
     frame_mean = float(frame_mean)
     if not math.isfinite(frame_mean):
         raise ValueError(f"frame_mean must be finite, got {frame_mean}")
-    return Measurement(y=phi @ s, frame_mean=frame_mean)
+    return Measurement(phi.dot(s), frame_mean)
 
 
 def _active_solve(G, active, rhs):

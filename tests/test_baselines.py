@@ -92,6 +92,22 @@ def test_batch_rows_equal_single_frames(kind, n):
         np.testing.assert_allclose(sp.decode(s), x_hat, rtol=0, atol=1e-12)
 
 
+# A frame, batches of 1, 2, 7 and 250 rows, and 250 row-strided rows, which
+# ndarray.dot copies, taken from 500 rows.
+FRAME_TAKES = [0, slice(1), slice(2), slice(7), slice(250), slice(None, None, 2)]
+FRAME_TAKE_IDS = ["frame", "1", "2", "7", "250", "strided"]
+
+
+@pytest.mark.parametrize("take", FRAME_TAKES, ids=FRAME_TAKE_IDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_products_are_the_bytes_of_their_matmul_formula(kind, take):
+    sp = baselines.fit(kind, training(23))
+    rng = np.random.default_rng(4)
+    X, S = (20.0 + rng.normal(size=(500, 23)))[take], rng.normal(size=(500, 23))[take]
+    assert sp.transform(X).tobytes() == ((X - sp.mean) @ sp.components.T).tobytes()
+    assert sp.decode(S).tobytes() == (S @ sp.components + sp.mean).tobytes()
+
+
 @pytest.mark.parametrize("kind,n", CASES)
 def test_sparsity_and_round_trip(kind, n):
     sp = baselines.fit(kind, training(n))

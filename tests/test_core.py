@@ -648,6 +648,23 @@ class TestReconstruct:
             reconstruct(zero_params(3, 5), np.float64(1.0))
 
 
+# A frame, batches of 1, 2, 7 and 250 rows, and 250 row-strided rows, which
+# ndarray.dot copies, taken from 500 rows.
+FRAME_TAKES = [0, slice(1), slice(2), slice(7), slice(250), slice(None, None, 2)]
+FRAME_TAKE_IDS = ["frame", "1", "2", "7", "250", "strided"]
+
+
+@pytest.mark.parametrize("take", FRAME_TAKES, ids=FRAME_TAKE_IDS)
+def test_layers_are_the_bytes_of_their_matmul_formula(take):
+    # Both layers multiply by ndarray.dot, with weights that are views of one
+    # parameter vector as the trainer makes them.
+    rng = np.random.default_rng(31)
+    p = SsaeParams.from_vector(random_params(rng, 23, 25).to_vector(), 23, 25)
+    D, S = rng.uniform(-1, 1, (500, 23))[take], rng.normal(size=(500, 25))[take]
+    assert hidden_activation(p, D).tobytes() == np.tanh(D @ p.w1.T + p.b1).tobytes()
+    assert reconstruct(p, S).tobytes() == np.tanh(S @ p.w2.T + p.b2).tobytes()
+
+
 class TestCost:
     def test_zero_everything(self):
         p = zero_params(3, 4)

@@ -50,16 +50,23 @@ class TestMeasure:
         return phi, sparse_codes(rng, self.B, self.L, self.K), rng.normal(20.0, 3.0, self.B)
 
     def test_y_is_phi_times_code(self, frames):
+        # measure multiplies by ndarray.dot: its bytes are phi @ s's, for a
+        # strided code too (a row of a Fortran-ordered batch).
         phi, S, _ = frames
-        for s in S:
-            np.testing.assert_array_equal(measure(phi, s, 0.0).y, phi @ s)
+        for s in (*S, np.asfortranarray(S)[1]):
+            assert measure(phi, s, 0.0).y.tobytes() == (phi @ s).tobytes()
 
     def test_payload_is_y_then_frame_mean(self, frames):
         phi, S, means = frames
         m = measure(phi, S[0], means[0])
+        assert isinstance(m, Measurement)
+        y, frame_mean = m
+        assert y is m.y and frame_mean == m.frame_mean == means[0]
         assert m.payload.shape == (self.M + 1,)
-        np.testing.assert_array_equal(m.payload[:-1], m.y)
-        assert m.payload[-1] == means[0]
+        assert m.payload.tobytes() == np.append(phi @ S[0], means[0]).tobytes()
+        for name in ("y", "frame_mean"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 30)),
