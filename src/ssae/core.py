@@ -26,9 +26,9 @@ bit-equal to phi.dot(s).
 
 A frame's products, here, in baselines and in cs.measure, are ndarray.dot
 calls: a C-contiguous frame or batch times a weight matrix or its transpose
-is the BLAS call @ makes, bit for bit, 0.5-0.9 us sooner (numpy 2.4).
-Strided or stacked operands keep @ or np.matmul: dot copies a strided one
-(cs's d @ G on (250, 25): 12 us, d.dot(G) 16-18 us) and does not batch a stack.
+is the BLAS call @ makes, bit for bit, with less dispatch.  Strided or
+stacked operands keep @ or np.matmul: dot copies a strided one (cs's
+d @ G) and does not batch a stack.
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:
 
 
 def _check_batch(params: SsaeParams, X, what: str) -> np.ndarray:
-    """Frames of length n_visible as (T, N) with T >= 1; errors name what X is."""
+    """Finite frames of length n_visible as (T, N), T >= 1; shape errors name what X is."""
     X = np.atleast_2d(_frames(X, params.n_visible, f"{what} must be a frame"))
     if not X.shape[0]:
         raise ValueError(f"empty {what} of shape {X.shape}")
+    _finite(X)
     return X
 
 

@@ -344,7 +344,7 @@ def sphere_rows(X: np.ndarray, sigma: float) -> SpheredFrame:
     return SpheredFrame(D, means)
 
 
-# The gateway's name; it goes with ROADMAP item 5, as bench/tracing.py wraps both.
+# The gateway's name; it goes with ROADMAP item 6, as bench/tracing.py wraps both.
 sphere = sphere_rows
 
 

@@ -157,12 +157,14 @@ def minimize(
     .gradients count objective and grad() calls.  x0 is a non-empty 1-D
     vector.
 
-    Stops at max_iterations, at a failed line search with a warning
-    message, or when the relative cost decrease falls below convergence_tol
-    (finite, > 0).  A step that does not lower the cost is not taken and
-    ends the run, so x is the last point taken, the lowest cost seen.
-    Raises FloatingPointError if a cost or a read gradient is ever
-    non-finite.
+    A direction that does not descend, or whose line search fails, drops
+    the curvature history and gets one retry from steepest descent, which
+    is the direction when there is no history.  Stops at max_iterations,
+    at a failed steepest-descent search with a warning message, or when
+    the relative cost decrease falls below convergence_tol (finite, > 0).
+    A step that does not lower the cost is not taken and ends the run, so
+    x is the last point taken, the lowest cost seen.  Raises
+    FloatingPointError if a cost or a read gradient is ever non-finite.
     """
     max_iterations = core._integer("max_iterations", max_iterations, 1)
     if not 0 < convergence_tol < math.inf:
@@ -212,12 +214,10 @@ def minimize(
             message = f"stationary point at iteration {it}"
             break
         d = -_two_loop(g, history)
-        if d @ g >= 0:
-            d = -g  # curvature history unusable, fall back to steepest descent
-        step = _line_search(evaluate, x, f, g, d)
+        step = _line_search(evaluate, x, f, g, d) if d @ g < 0 else None
         if step is None and history:
-            # Stale curvature pairs can poison the direction; drop them and
-            # retry once from steepest descent before giving up.
+            # Stale curvature pairs can poison the direction or its search;
+            # drop them and retry once from steepest descent before giving up.
             history.clear()
             d = -g
             step = _line_search(evaluate, x, f, g, d)
@@ -405,7 +405,6 @@ def evaluate_rmse(
     unless T = 1, since a 1-row matmul takes BLAS's matrix-vector path.
     """
     X_test = core._check_batch(params, X_test, "test matrix")
-    core._finite(X_test)
     X_hat = np.empty(X_test.shape)
     n_blocks = -(-X_test.shape[0] // SCORE_BLOCK_ROWS)
     for X, out in zip(np.array_split(X_test, n_blocks), np.array_split(X_hat, n_blocks)):

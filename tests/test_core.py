@@ -708,6 +708,19 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(zero_params(3, 4), np.zeros((5, 2)), 0.1, 2)
 
+    @pytest.mark.parametrize("D, message", [
+        ([[math.inf, 0.0], [0.1, 0.2]], "frame 0, sensor 0 is not finite: inf"),
+        ([[0.1, 0.2], [0.3, math.nan]], "frame 1, sensor 1 is not finite: nan"),
+        ([0.1, -math.inf], "frame 0, sensor 1 is not finite: -inf"),
+    ])
+    def test_non_finite_training_batch_named(self, D, message):
+        p = zero_params(2, 3)
+        for f in (cost, gradient):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                f(p, D, 0.1, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            trainer.evaluate_rmse(p, 1.0, D, 1)
+
 
 def reference_cost_and_gradient(p, D, gamma, k, places):
     """The objective and its backpropagated gradient, one formula per line."""

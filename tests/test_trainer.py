@@ -201,6 +201,30 @@ class TestMinimize:
         assert res.evaluations == res.gradients == 1 + trainer.MAX_EXPAND
         assert res.x.tobytes() == np.zeros(3).tobytes() and res.curve == [(0, 0.0)]
 
+    def test_direction_that_does_not_descend_takes_the_retry(self, monkeypatch):
+        # The 4th direction is made to ascend; like a failed search, it
+        # drops the curvature pairs, so the next direction sees only the
+        # pair from the steepest-descent retry.
+        two_loop = trainer._two_loop
+        seen = []
+
+        def fourth_ascends(g, history):
+            seen.append(len(history))
+            q = two_loop(g, history)
+            return -q if len(seen) == 4 else q
+
+        monkeypatch.setattr(trainer, "_two_loop", fourth_ascends)
+        c = np.linspace(1.0, 30.0, 8)
+
+        def objective(x):
+            return 0.5 * c @ (x * x), lambda: c * x
+
+        res = minimize(objective, np.ones(8), max_iterations=12, convergence_tol=1e-12)
+        assert seen[:5] == [0, 1, 2, 3, 1]
+        costs = [f for _, f in res.curve]
+        assert all(f2 <= f1 for f1, f2 in zip(costs, costs[1:]))
+        assert "line search failed" not in res.message
+
 
 def zoom(f, slope, a_lo, a_hi):
     """trainer._zoom on f along x = a from x = 0, bracket [a_lo, a_hi]; (step, trial points)."""
