@@ -208,9 +208,14 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
 
     Exact zeros stay zero, so the nonzero count never increases.  Every
     entry keeps its sign, zeros included: -0.0 and -0.0004 both round to
-    -0.0.  Entries with |s| >= 2**52 / 10**places are already whole at
-    that precision and are returned unchanged, so finite codes stay
+    -0.0.  Entries with |s| >= whole = 2**52 / 10**places are already whole
+    at that precision and are returned unchanged, so finite codes stay
     finite.  places is an integer in [0, 308]: 10**309 is beyond float64.
+
+    Fast path: one BLAS sum of squares, sum(s**2) < whole**2, rounds all
+    entries at once.  Anything else takes the masked path, bit for bit the
+    same: NaN, inf, an entry >= whole, and from places 178 up any code,
+    since whole**2 is 0 there.
     """
     places = _integer("places", places, 0, 308)
     s = np.asarray(s, dtype=np.float64)
@@ -218,16 +223,23 @@ def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
         return round_code(s.reshape(1), places).reshape(())
     f = 10.0 ** places
     whole = 2.0 ** 52 / f
-    r = np.abs(s)
-    # NaN and inf fail this test too
-    if not np.maximum.reduce(r, axis=None, initial=0.0) < whole:
-        small = r < whole
-        return np.where(small, round_code(np.where(small, s, 0.0), places), s)
-    r *= f
-    r += 0.5
-    np.floor(r, out=r)
+    if np.vdot(s, s) < whole * whole:
+        return _round_below_whole(s, f)
+    small = np.abs(s) < whole
+    return np.where(small, _round_below_whole(np.where(small, s, 0.0), f), s)
+
+
+def _round_below_whole(s: np.ndarray, f: float) -> np.ndarray:
+    """copysign(floor(|s| * f + 0.5) / f, s) for |s| * f < 2**52, -0.0 included.
+
+    Every step is sign-symmetric under round-to-nearest, so s * f plus a
+    signed half, truncated, gives those bits.
+    """
+    r = s * f
+    r += np.copysign(0.5, s)
+    np.trunc(r, out=r)
     r /= f
-    return np.copysign(r, s, out=r)
+    return r
 
 
 def reconstruct(params: SsaeParams, s: np.ndarray) -> np.ndarray:

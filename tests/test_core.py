@@ -258,6 +258,15 @@ class TestShrink:
             np.testing.assert_array_equal(batch[i], shrink(H[i], 3))
 
 
+def rounded(s, places):
+    """round_code's definition, entry by entry: halves away from zero below whole."""
+    s = np.asarray(s, dtype=np.float64)
+    f = 10.0 ** places
+    whole = 2.0 ** 52 / f
+    with np.errstate(over="ignore"):  # |s| * f of an entry the mask keeps as it is
+        return np.where(np.abs(s) < whole, np.copysign(np.floor(np.abs(s) * f + 0.5) / f, s), s)
+
+
 class TestRoundCode:
     def test_examples(self):
         np.testing.assert_array_equal(
@@ -324,6 +333,38 @@ class TestRoundCode:
         out = round_code(s, places)
         assert isinstance(out, np.ndarray) and out.shape == ()
         assert out.tobytes() == round_code(np.reshape(s, 1), places).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 308).flatmap(lambda places: st.tuples(st.just(places), hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(
+            st.floats(),  # every double, NaN and +-inf included
+            st.sampled_from([0.0, -0.0]),
+            st.floats(-1.0 / 10.0 ** places, 1.0 / 10.0 ** places),
+            st.floats(-2.0 ** 53 / 10.0 ** places, 2.0 ** 53 / 10.0 ** places))))))
+    @example(case=(3, np.array([np.nan, -np.inf, np.inf, 2.0 ** 52 / 1e3, -0.0005, 1.2345])))
+    @example(case=(0, np.array(-0.5)))
+    # whole * whole is 0 from places 178 up, so even a zero code fails the fast path
+    @example(case=(308, np.full(3, 1e-300)))
+    @example(case=(200, np.zeros(4)))
+    @example(case=(178, np.array([[5e-324, -1e-290], [np.nan, -0.0]])))
+    @example(case=(308, np.array(-1e-300)))
+    def test_every_double_rounds_as_specified(self, case):
+        places, s = case
+        out = round_code(s, places)
+        assert out.shape == s.shape and out.tobytes() == rounded(s, places).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 308),
+           hnp.arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(1, 8)),
+                      elements=st.floats(-2.0, 2.0)),
+           st.sampled_from([None, np.nan, np.inf, -np.inf, 1e300]))
+    def test_a_batch_row_is_that_row_rounded_alone(self, places, S, spoiler):
+        if spoiler is not None:  # one entry sends the whole batch down the masked path
+            S[-1, -1] = spoiler
+        out = round_code(S, places)
+        for row, rounded_row in zip(S, out):
+            assert rounded_row.tobytes() == round_code(row, places).tobytes()
 
 
 codes = st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(
