@@ -199,12 +199,13 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     """Write a (T, N) dataset as CSV at full double precision.
 
     Values are printed with 17 significant digits so load_csv(write_csv(X))
-    reproduces X bit-exactly.  A non-finite value, which load_csv rejects,
-    raises a ValueError naming its frame and sensor before anything is
-    opened or written.  A header cell that would not read back, one that
-    is a number, holds a comma, quote or line break, or is longer than
-    csv.field_size_limit(), is rejected; the header line is written only
-    when its text is not empty.
+    reproduces X bit-exactly.  A matrix with no rows or no columns, or a
+    non-finite value (named by frame and sensor), both of which load_csv
+    rejects, raises a ValueError before anything is opened or written.  A
+    header cell that would not read back, one that is a number, holds a
+    comma, quote or line break, or is longer than csv.field_size_limit(),
+    is rejected; the header line is written only when its text is not
+    empty.
 
     sink is a path (str or os.PathLike), opened for writing as UTF-8 text
     whatever its suffix (a ".gz" path holds plain text, so it reads back),
@@ -214,6 +215,8 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     one block of text.
     """
     X = core._matrix(matrix)
+    if X.size == 0:
+        raise ValueError(f"a {X.shape} matrix would not read back: it has no entries")
     core._finite(X)
     if header is not None and len(header) != X.shape[1]:
         raise ValueError("header length does not match column count")
@@ -267,7 +270,8 @@ def generate_synthetic(
     Covariance between two sensors decays with their distance over the
     correlation length; correlation_length = inf makes all columns equal.
     I.i.d. Gaussian noise of noise.variance is added on top; at variance 0
-    the field is returned as it is.
+    that draw is all zeros, and adding it leaves every field byte as it is
+    (no field entry is -0).
 
     Deterministic given its arguments.  The field and the noise are drawn
     from separate streams spawned from noise.seed, so the field never
@@ -317,8 +321,6 @@ def generate_synthetic(
     np.exp(field, out=field)
     field *= amp
     field += level[:, None]
-    if noise.variance == 0.0:
-        return field
     z = np.random.default_rng(noise_ss).normal(0.0, math.sqrt(noise.variance), size=field.shape)
     z += field
     return z

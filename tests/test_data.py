@@ -331,14 +331,19 @@ class TestWriteCsvBlocks:
         X = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300, (n_rows, n_cols))
         header = [f"s{j}" for j in range(n_cols)] if named else None
         sink = io.BytesIO()
-        write_csv(X, sink, header=header)
-        assert sink.getvalue() == savetxt_bytes(X, header)
+        if X.size:
+            write_csv(X, sink, header=header)
+            assert sink.getvalue() == savetxt_bytes(X, header)
+        else:  # savetxt's text, blank lines or a header alone, does not read back
+            with pytest.raises(ValueError, match="no entries"):
+                write_csv(X, sink, header=header)
+            assert sink.getvalue() == b""
 
     def test_empty_header_writes_no_line(self):
-        X = np.zeros((3, 0))
+        X = np.zeros((3, 1))
         sink = io.StringIO()
-        write_csv(X, sink, header=[])
-        assert sink.getvalue() == savetxt_bytes(X, []).decode() == "\n\n\n"
+        write_csv(X, sink, header=[""])
+        assert sink.getvalue() == savetxt_bytes(X, [""]).decode() == "0\n0\n0\n"
 
     def test_every_sink_gets_the_same_bytes(self, tmp_path):
         X = generate_synthetic(23, 300, noise=NoiseSpec(variance=0.01, seed=3))
@@ -450,6 +455,19 @@ class TestWriteCsvProperties:
         with pytest.raises(ValueError, match=message):
             write_csv(X, sink, header=["a", "b"])
         assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize("with_header", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)])
+    def test_matrix_without_entries_refused_before_anything_is_opened(
+            self, tmp_path, shape, with_header):
+        # load_csv rejects each text these would write: "", "\n\n\n" or a
+        # header alone.
+        header = [f"s{j}" for j in range(shape[1])] if with_header else None
+        message = "^" + re.escape(f"a {shape} matrix would not read back: it has no entries") + "$"
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match=message):
+            write_csv(np.zeros(shape), path, header=header)
+        assert not path.exists()
 
 
 def reference_decoded(raw) -> str:
