@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _LN10 = float(np.log(10.0))
+# The decimals every code is rounded to: at the gateway, in the training objective, in scoring.
+PLACES = 3
 
 
 @dataclass
@@ -203,7 +205,7 @@ def shrink(h: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def round_code(s: np.ndarray, places: int = 3) -> np.ndarray:
+def round_code(s: np.ndarray, places: int = PLACES) -> np.ndarray:
     """Round each entry to `places` decimals, halves away from zero.
 
     Exact zeros stay zero, so the nonzero count never increases.  Every
@@ -261,14 +263,14 @@ def cost(
     D: np.ndarray,
     gamma: float,
     k: int,
-    rounding_places: int | None = 3,
+    places: int | None = PLACES,
 ) -> float:
     """Mean reconstruction error plus the activation sparsity penalty: gradient's cost.
 
-    rounding_places=None skips code rounding; pass None when checking
+    places=None skips code rounding; pass None when checking
     gradients against finite differences, since rounding is a staircase.
     """
-    return gradient(params, D, gamma, k, rounding_places)[0]
+    return gradient(params, D, gamma, k, places)[0]
 
 
 def gradient(
@@ -276,7 +278,7 @@ def gradient(
     D: np.ndarray,
     gamma: float,
     k: int,
-    rounding_places: int | None = 3,
+    places: int | None = PLACES,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """(cost, grad) of the objective from one forward pass.
 
@@ -300,8 +302,8 @@ def gradient(
     H = hidden_activation(params, D)
     mask = shrink_mask(H, k)
     S = np.multiply(H, mask)
-    if rounding_places is not None:
-        S = round_code(S, rounding_places)
+    if places is not None:
+        S = round_code(S, places)
     D_hat = reconstruct(params, S)
     err = D_hat - D
     HH = H * H  # the penalty and its derivative share H*H and 1 + H*H

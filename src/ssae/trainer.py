@@ -391,7 +391,7 @@ def evaluate_rmse(
     sigma: float,
     X_test: np.ndarray,
     k: int,
-    rounding_places: int = 3,
+    places: int = core.PLACES,
 ) -> float:
     """RMSE of the full round trip in raw sensor units.
 
@@ -408,14 +408,14 @@ def evaluate_rmse(
     X_hat = np.empty(X_test.shape)
     n_blocks = -(-X_test.shape[0] // SCORE_BLOCK_ROWS)
     for X, out in zip(np.array_split(X_test, n_blocks), np.array_split(X_hat, n_blocks)):
-        out[...] = _round_trip(params, sigma, X, k, rounding_places)
+        out[...] = _round_trip(params, sigma, X, k, places)
     X_hat -= X_test
     np.square(X_hat, out=X_hat)
     return float(np.sqrt(np.mean(X_hat)))
 
 
-def _round_trip(params, sigma, X, k, rounding_places) -> np.ndarray:
+def _round_trip(params, sigma, X, k, places) -> np.ndarray:
     """x_hat of frames X; its layers are freed when it returns."""
     D, means = data.sphere_rows(X, sigma)
-    S = core.round_code(core.shrink(core.hidden_activation(params, D), k), rounding_places)
+    S = core.round_code(core.shrink(core.hidden_activation(params, D), k), places)
     return data.desphere_rows(core.reconstruct(params, S), means, sigma)

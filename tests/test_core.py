@@ -871,7 +871,7 @@ class TestGradient:
             # the penalty adds -0, so its whole column of dh is -0.
             p.w1[0], p.b1[0], p.b2[:] = 0.0, -1e-6, 4.0
             p.w2[:, 0] = -np.abs(p.w2[:, 0])
-        _, grad = gradient(p, D, gamma, k, rounding_places=places)
+        _, grad = gradient(p, D, gamma, k, places=places)
         g = grad()
         state = saved_forward(p, D, gamma, k, places)
         if pruned:
@@ -898,7 +898,7 @@ class TestGradient:
     @given(evaluation_cases, st.sampled_from([3, None]))
     def test_equals_unfused_reference(self, case, places):
         p, D, gamma, k = draw_case(case)
-        c, grad = gradient(p, D, gamma, k, rounding_places=places)
+        c, grad = gradient(p, D, gamma, k, places=places)
         g = grad()
         c_ref, g_ref = reference_cost_and_gradient(p, D, gamma, k, places)
         assert c == c_ref
@@ -908,7 +908,7 @@ class TestGradient:
     @given(evaluation_cases)
     def test_matches_central_differences(self, case):
         p, D, gamma, k = draw_case(case)
-        g = gradient(p, D, gamma, k, rounding_places=None)[1]()
+        g = gradient(p, D, gamma, k, places=None)[1]()
         fd = central_differences(frozen_cost_fn(p, D, gamma, k), p.to_vector())
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
@@ -923,7 +923,7 @@ class TestGradient:
             N, L, T = rng.integers(1, 8), rng.integers(1, 8), rng.integers(1, 6)
             p = random_params(rng, int(N), int(L), scale=0.3)
             D = rng.uniform(-0.9, 0.9, (int(T), int(N)))
-            g = gradient(p, D, gamma=0.1, k=int(L), rounding_places=None)[1]()
+            g = gradient(p, D, gamma=0.1, k=int(L), places=None)[1]()
             fd = central_differences(frozen_cost_fn(p, D, 0.1, int(L)), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
@@ -935,7 +935,7 @@ class TestGradient:
             k = int(rng.integers(1, L))
             p = random_params(rng, N, L, scale=0.4)
             D = rng.uniform(-0.9, 0.9, (T, N))
-            g = gradient(p, D, gamma=0.2, k=k, rounding_places=None)[1]()
+            g = gradient(p, D, gamma=0.2, k=k, places=None)[1]()
             fd = central_differences(frozen_cost_fn(p, D, 0.2, k), p.to_vector())
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
@@ -960,8 +960,8 @@ class TestGradient:
         rng = np.random.default_rng(19)
         p = random_params(rng, 6, 9)
         D = rng.uniform(-1, 1, (11, 6))
-        c, _ = gradient(p, D, gamma=0.2, k=4, rounding_places=places)
-        assert c == cost(p, D, gamma=0.2, k=4, rounding_places=places)
+        c, _ = gradient(p, D, gamma=0.2, k=4, places=places)
+        assert c == cost(p, D, gamma=0.2, k=4, places=places)
 
     def test_one_forward_pass_per_training_evaluation(self, monkeypatch):
         calls = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 import tracemalloc
@@ -422,6 +423,33 @@ class TestFit:
             fit(np.arange(5.0), TrainingConfig(n_hidden=4, k_max=2))
 
 
+class TestOnePrecision:
+    # The gateway, the training objective and the scorer round codes to one
+    # precision, core.PLACES, so a model is trained and scored on what the
+    # gateway sends.
+    @pytest.mark.parametrize("function", [core.round_code, core.cost, core.gradient,
+                                          trainer.evaluate_rmse])
+    def test_every_default_is_core_places(self, function):
+        assert inspect.signature(function).parameters["places"].default == core.PLACES
+
+    def test_fit_and_scoring_round_at_core_places(self, monkeypatch):
+        places, round_code = [], core.round_code
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(round_code).bind(*args, **kwargs)
+            bound.apply_defaults()
+            places.append(bound.arguments["places"])
+            return round_code(*args, **kwargs)
+
+        monkeypatch.setattr(core, "round_code", spy)
+        X = tiny_dataset(n_samples=50)
+        params, sigma, _ = fit(X, TrainingConfig(n_hidden=6, k_max=3, max_iterations=1))
+        n_fit = len(places)
+        evaluate_rmse(params, sigma, X, 3)
+        assert n_fit and len(places) > n_fit
+        assert set(places) == {core.PLACES}
+
+
 class TestEvaluateRmse:
     def test_constant_frames_reconstruct_exactly(self):
         # Constant rows sphere to d = 0; a zero model reproduces them exactly.
@@ -541,11 +569,11 @@ def scoring_case():
     return p, data.dataset_std(X), X
 
 
-def unblocked_rmse(params, sigma, X_test, k, rounding_places=3):
+def unblocked_rmse(params, sigma, X_test, k, places=3):
     """evaluate_rmse as one pass over every row at once, its earlier form."""
     D, means = data.sphere_rows(X_test, sigma)
     H = core.hidden_activation(params, D)
-    S = core.round_code(core.shrink(H, k), rounding_places)
+    S = core.round_code(core.shrink(H, k), places)
     D_hat = core.reconstruct(params, S)
     X_hat = data.desphere_rows(D_hat, means, sigma)
     return float(np.sqrt(np.mean((X_hat - X_test) ** 2)))
