@@ -40,8 +40,29 @@ __all__ = [
 # Samples per simulated day in the synthetic generator (2-minute sampling).
 DIURNAL_PERIOD = 720.0
 
-# Rows write_csv formats with one % and writes with one call.
-WRITE_BLOCK_ROWS = 128
+# Rows write_csv formats and writes with one call.  For a 23-sensor log the
+# traced peak must stay under a tenth of the log's own bytes (one block, as
+# test_traced_peak_is_one_block bounds it): 64-row blocks reach 0.057 of
+# it and 128-row blocks 0.110.
+WRITE_BLOCK_ROWS = 64
+
+# The kernel's range: "%.17g" writes 0 and every value of magnitude in
+# [1e-4, 1e15) in fixed notation, and there _round_digits' product fits 128
+# bits and its shift is at least 1.
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e15
+_E4, _E16, _E17 = np.uint64(10_000), np.uint64(10**16), np.uint64(10**17)
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_POW5 = np.array([5**p for p in range(23)], dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _32
+# Four ASCII digits of each t < 10**4 as one native uint32, and the same
+# with trailing zeros as NUL bytes, which the kernel deletes.
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % t for t in range(10_000)), np.uint32)
+_TRIMMED4 = np.frombuffer(b"".join((b"%04d" % t).rstrip(b"0").ljust(4, b"\0")
+                                   for t in range(10_000)), np.uint32)
+# A kernel cell of _CELL bytes: [0] the separator before the value, [1:7]
+# the sign and a "0.000" prefix, [_LEAD] the first of the 17 digits and
+# [8:24] the other 16 as uint32 columns 2-5.  Its NUL bytes are deleted.
+_CELL, _LEAD = 24, 7
 
 # The largest sigma whose sphering scale 3 * sigma is finite.
 SIGMA_MAX = math.nextafter(np.finfo(np.float64).max / 3, 0.0)
@@ -198,21 +219,24 @@ def _load_rows(lines) -> np.ndarray:
 def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None:
     """Write a (T, N) dataset as CSV at full double precision.
 
-    Values are printed with 17 significant digits so load_csv(write_csv(X))
-    reproduces X bit-exactly.  A matrix with no rows or no columns, or a
-    non-finite value (named by frame and sensor), both of which load_csv
-    rejects, raises a ValueError before anything is opened or written.  A
-    header cell that would not read back, one that is a number, holds a
-    comma, quote or line break, or is longer than csv.field_size_limit(),
-    is rejected; the header line is written only when its text is not
-    empty.
+    The text after the header line is the bytes of np.savetxt(sink, X,
+    fmt="%.17g", delimiter=","), so load_csv(write_csv(X)) reproduces X
+    bit-exactly.  A block whose values are all 0 or in [1e-4, 1e15) in
+    magnitude, which "%.17g" writes in fixed notation, is formatted by a
+    numpy integer kernel; any other block by the % operator.  A matrix with
+    no rows or no columns, or a non-finite value (named by frame and
+    sensor), both of which load_csv rejects, raises a ValueError before
+    anything is opened or written.  A header cell that would not read back,
+    one that is a number, holds a comma, quote or line break, or is longer
+    than csv.field_size_limit(), is rejected; the header line is written
+    only when its text is not empty.
 
     sink is a path (str or os.PathLike), opened for writing as UTF-8 text
     whatever its suffix (a ".gz" path holds plain text, so it reads back),
     or a file object, written as text or, if writing "" to it raises
     TypeError, as UTF-8 bytes.  The text is formatted and written
     WRITE_BLOCK_ROWS rows at a time, so the memory it takes beyond X is
-    one block of text.
+    one block's text and kernel arrays.
     """
     X = core._matrix(matrix)
     if X.size == 0:
@@ -235,10 +259,105 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
             sink.write(text.encode("utf-8"))
     if text := ",".join(header or ()):
         write(text + "\n")
-    row = ",".join(["%.17g"] * X.shape[1]) + "\n"
+    # Cell i's separator: "\n" starting a row, "," within it, none for the
+    # block's first cell; the cell after the last ends the block's line.
+    n = min(len(X), WRITE_BLOCK_ROWS) * X.shape[1]
+    seps = np.where(np.arange(n + 1) % X.shape[1], 44, 10).astype(np.uint8)
+    seps[0] = 0
     for start in range(0, len(X), WRITE_BLOCK_ROWS):
         block = X[start:start + WRITE_BLOCK_ROWS]
-        write((row * len(block)) % tuple(block.ravel().tolist()))
+        write(_fixed_text(block.ravel(), seps) or _percent_text(block))
+
+
+def _percent_text(block: np.ndarray) -> str:
+    """The lines of block as "%.17g" writes them, by the % operator."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _fixed_text(v: np.ndarray, seps: np.ndarray) -> str | None:
+    """The "%.17g" text of a block's values v, cells joined by seps; None
+    unless every value is 0 or has |v| in [_FIXED_MIN, _FIXED_MAX)."""
+    a = np.abs(v)
+    zero = a == 0
+    a[zero] = 1.0
+    if not (a.min() >= _FIXED_MIN and a.max() < _FIXED_MAX):
+        return None
+    # |v| = m * 2**(e - 53) with m < 2**53; D = round(|v| * 10**(16 - x))
+    # has 17 digits once x is the decimal exponent, which log10 may miss by one.
+    f, e = np.frexp(a)
+    m = np.ldexp(f, 53).astype(np.uint64)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    d = _round_digits(m, e, x)
+    miss = np.flatnonzero((d < _E16) | (d >= _E17))
+    while miss.size:
+        x[miss] += np.where(d[miss] < _E16, -1, 1)
+        d[miss] = _round_digits(m[miss], e[miss], x[miss])
+        miss = miss[(d[miss] < _E16) | (d[miss] >= _E17)]
+    d[zero] = 0  # with x = 0, it prints as "0"
+    n = len(v)
+    buf = np.zeros((n + 1, _CELL), np.uint8)
+    buf[:, 0] = seps[:n + 1]
+    cells = buf[:n]
+    # Four digits at a time, the last first: its trailing zeros are NUL,
+    # and so are those of a run that goes on past it.
+    run_on = np.flatnonzero(d % _E4 == 0)
+    groups = cells.view(np.uint32)
+    for col in (5, 4, 3, 2):
+        q = d // _E4
+        groups[:, col] = (_TRIMMED4 if col == 5 else _DIGITS4)[d - q * _E4]
+        d = q
+    cells[:, _LEAD] = d + 48
+    if run_on.size:
+        tail = cells[run_on, _LEAD + 1:]
+        tail[np.logical_and.accumulate(tail[:, ::-1] <= 48, axis=1)[:, ::-1]] = 0
+        cells[run_on, _LEAD + 1:] = tail
+    # Fixed notation: the x + 1 integer digits move one column left, and a
+    # "." follows them unless the fraction is all NUL; below 1 the prefix
+    # is "0." and -x - 1 zeros.
+    cells[:, _LEAD - 2] = np.signbit(v) * 45
+    cells[:, _LEAD - 1] = cells[:, _LEAD]
+    for j in range(x.max()):
+        cells[:, _LEAD + j] = np.where(x > j, cells[:, _LEAD + j + 1] | 48, cells[:, _LEAD + j])
+    point = np.arange(0, n * _CELL, _CELL) + (x + _LEAD)
+    flat = buf.reshape(-1)
+    flat[point] = (flat[point + 1] != 0) * 46
+    for k in range(x.min(), 0):
+        rows = np.flatnonzero(x == k)
+        cells[rows, _LEAD - 1 + k:_LEAD] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
+        cells[rows, _LEAD - 2 + k] = np.signbit(v[rows]) * 45
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """round(m * 2**(e - 53) * 10**(16 - x)), half to even, as uint64.
+
+    The product m * 5**(16 - x) is exact as a 128-bit (hi, lo) pair of
+    32-bit limb products, then shifts right by s = 37 - e + x bits, which
+    _fixed_text's range keeps between 1 and 46.  Every operand is uint64,
+    which wraps; an int64 operand would promote the result to float64.
+    """
+    s = (x - e + 37).astype(np.uint64)
+    f0, f1 = _POW5_LO[16 - x], _POW5_HI[16 - x]
+    m0, m1 = m & _LOW32, m >> _32
+    lo = m0 * f0
+    mid = m1 * f0
+    mid += m0 * f1
+    hi = m1 * f1
+    hi += mid >> _32
+    mid <<= _32
+    mid += lo  # the low word, wrapped
+    hi += mid < lo  # and its carry
+    # Half to even: add 2**(s - 1) - 1, and 1 more if the truncation is odd.
+    lo = mid >> s
+    lo &= np.uint64(1)
+    lo += (np.uint64(1) << (s - np.uint64(1))) - np.uint64(1)
+    lo += mid
+    hi += lo < mid
+    lo >>= s
+    hi <<= np.uint64(64) - s
+    lo |= hi
+    return lo
 
 
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:

@@ -320,10 +320,13 @@ def savetxt_bytes(X, header=None) -> bytes:
     return sink.getvalue()
 
 
+BLOCK = data.WRITE_BLOCK_ROWS
+
+
 class TestWriteCsvBlocks:
     """write_csv writes np.savetxt's bytes, WRITE_BLOCK_ROWS rows at a time."""
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1])
     @pytest.mark.parametrize("n_cols", [0, 1, 23])
     @pytest.mark.parametrize("named", [False, True])
     def test_bytes_equal_savetxt(self, n_rows, n_cols, named):
@@ -385,6 +388,83 @@ class TestWriteCsvBlocks:
         assert path.read_bytes() == savetxt_bytes(X, header)
 
 
+def neighbours(v: float) -> list[float]:
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def in_kernel_range(v: float) -> bool:
+    return v == 0 or data._FIXED_MIN <= abs(v) < data._FIXED_MAX
+
+
+# The kernel's edges, each signed: zero, each range limit and the doubles
+# beside it, powers of ten and the doubles beside them (log10 rounds
+# nextafter(1000, 0) up to 3.0), and 17-digit halfway ties, odd multiples
+# of 1/8 past 1e14 and of 1/16 past 1e13.
+KERNEL_EDGES = [sign * v for sign in (1.0, -1.0) for v in (
+    [0.0, *neighbours(data._FIXED_MIN), *neighbours(data._FIXED_MAX)]
+    + [w for k in range(-5, 17) for w in neighbours(10.0 ** k)]
+    + [1e14 + k / 8 for k in range(1, 16, 2)] + [1e13 + k / 16 for k in range(1, 16, 2)])]
+IN_RANGE_EDGES = [v for v in KERNEL_EDGES if in_kernel_range(v)]
+FALLBACK_VALUES = list(dict.fromkeys([v for v in KERNEL_EDGES if not in_kernel_range(v)] + [
+    5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]))
+kernel_values = st.one_of(
+    st.sampled_from(IN_RANGE_EDGES),
+    st.floats(data._FIXED_MIN, data._FIXED_MAX, exclude_max=True),
+    st.floats(-data._FIXED_MAX, -data._FIXED_MIN, exclude_min=True))
+
+
+class TestWriteCsvKernel:
+    """The kernel writes "%.17g"'s bytes for every value in its range, and
+    a block holding any other value takes the % path."""
+
+    @pytest.fixture
+    def no_fallback(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("a block took the % path")
+        monkeypatch.setattr(data, "_percent_text", refuse)
+
+    def test_edges_in_range_take_the_kernel(self, no_fallback):
+        assert np.floor(np.log10(math.nextafter(1000.0, 0.0))) == 3.0  # the retry runs
+        X = np.array(IN_RANGE_EDGES).reshape(-1, 1)
+        sink = io.StringIO()
+        write_csv(X, sink)
+        assert sink.getvalue() == reference_csv(X)
+        assert {"0", "-0"} <= set(sink.getvalue().splitlines())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_synthetic_log_takes_the_kernel(self, no_fallback, tmp_path, seed):
+        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=seed))
+        header = [f"s{j}" for j in range(23)]
+        path = tmp_path / "log.csv"
+        write_csv(X, path, header=header)
+        assert path.read_bytes() == reference_csv(X, header).encode("utf-8")
+
+    @pytest.mark.parametrize("row", [BLOCK - 1, BLOCK])
+    @pytest.mark.parametrize("value", FALLBACK_VALUES)
+    def test_only_the_block_holding_the_value_falls_back(self, monkeypatch, row, value):
+        blocks = []
+        percent_text = data._percent_text
+        monkeypatch.setattr(data, "_percent_text",
+                            lambda block: blocks.append(block.copy()) or percent_text(block))
+        X = np.full((2 * BLOCK, 2), -20.25)
+        X[row, 1] = value
+        sink = io.StringIO()
+        write_csv(X, sink)
+        assert sink.getvalue() == reference_csv(X)
+        assert len(blocks) == 1 and same_bits(blocks[0], X[row // BLOCK * BLOCK:][:BLOCK])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2 * BLOCK + 2), st.integers(1, 3), st.data())
+    def test_text_equals_percent_reference(self, n_rows, n_cols, draw):
+        X = draw.draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=kernel_values))
+        for _ in range(draw.draw(st.integers(0, 2))):  # fallback entries for some blocks
+            X[draw.draw(st.integers(0, n_rows - 1)), draw.draw(st.integers(0, n_cols - 1))] = (
+                draw.draw(st.sampled_from(FALLBACK_VALUES)))
+        sink = io.StringIO()
+        write_csv(X, sink)
+        assert sink.getvalue() == reference_csv(X)
+
+
 class TestWriteCsvProperties:
     @settings(max_examples=200, deadline=None)
     @given(csv_matrices, st.booleans())
@@ -394,13 +474,6 @@ class TestWriteCsvProperties:
         write_csv(X, sink, header=header)
         assert sink.getvalue() == reference_csv(X, header)
         assert same_bits(load_csv(io.StringIO(sink.getvalue())), X)
-
-    def test_log_file_matches_reference(self, tmp_path):
-        X = generate_synthetic(23, 20_000, noise=NoiseSpec(variance=0.01, seed=3))
-        header = [f"s{j}" for j in range(23)]
-        path = tmp_path / "log.csv"
-        write_csv(X, path, header=header)
-        assert path.read_bytes() == reference_csv(X, header).encode("utf-8")
 
     @pytest.mark.parametrize("header, cell", [
         (["1", "2"], "1"),  # read back as a data row
