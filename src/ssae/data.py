@@ -42,18 +42,18 @@ DIURNAL_PERIOD = 720.0
 
 # Rows write_csv formats and writes with one call.  For a 23-sensor log the
 # traced peak must stay under a tenth of the log's own bytes (one block, as
-# test_traced_peak_is_one_block bounds it): 64-row blocks reach 0.057 of
-# it and 128-row blocks 0.110.
-WRITE_BLOCK_ROWS = 64
+# test_traced_peak_is_one_block bounds it): 128-row blocks reach 0.052 of
+# it, 64-row blocks 0.028 and 256-row blocks 0.103.
+WRITE_BLOCK_ROWS = 128
 
 # The kernel's range: "%.17g" writes 0 and every value of magnitude in
 # [1e-4, 1e15) in fixed notation, and there _round_digits' product fits 128
 # bits and its shift is at least 1.
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e15
-_E4, _E16, _E17 = np.uint64(10_000), np.uint64(10**16), np.uint64(10**17)
-_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_E4, _E16, _SPAN17 = np.uint64(10_000), np.uint64(10**16), np.uint64(9 * 10**16)
+_1, _32, _37, _64 = (np.uint64(k) for k in (1, 32, 37, 64))
+_LOW32 = np.uint64(0xFFFFFFFF)
 _POW5 = np.array([5**p for p in range(23)], dtype=np.uint64)
-_POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _32
 # Four ASCII digits of each t < 10**4 as one native uint32, and the same
 # with trailing zeros as NUL bytes, which the kernel deletes.
 _DIGITS4 = np.frombuffer(b"".join(b"%04d" % t for t in range(10_000)), np.uint32)
@@ -231,10 +231,11 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     than csv.field_size_limit(), is rejected; the header line is written
     only when its text is not empty.
 
-    sink is a path (str or os.PathLike), opened for writing as UTF-8 text
-    whatever its suffix (a ".gz" path holds plain text, so it reads back),
-    or a file object, written as text or, if writing "" to it raises
-    TypeError, as UTF-8 bytes.  The text is formatted and written
+    sink is a path (str or os.PathLike) or a file object.  A path is opened
+    "wb" whatever its suffix (a ".gz" path holds plain text, so it reads
+    back) and gets the text's UTF-8 bytes as they are formatted.  A file
+    object gets the same bytes if writing "" to it raises TypeError, and
+    otherwise their text as str.  The text is formatted and written
     WRITE_BLOCK_ROWS rows at a time, so the memory it takes beyond X is
     one block's text and kernel arrays.
     """
@@ -249,16 +250,18 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
                 or len(cell) > csv.field_size_limit()):
             raise ValueError(f"header cell {j} would not read back: {cell!r}")
     if not hasattr(sink, "write"):
-        with open(os.fspath(sink), "w", encoding="utf-8") as fh:
+        with open(os.fspath(sink), "wb") as fh:
             return write_csv(X, fh, header)
     write = sink.write
     try:
         write("")
     except TypeError:  # a bytes sink, as np.savetxt's wrapper finds it
-        def write(text: str) -> None:
-            sink.write(text.encode("utf-8"))
+        pass
+    else:
+        def write(chunk: bytes) -> None:
+            sink.write(chunk.decode("utf-8"))
     if text := ",".join(header or ()):
-        write(text + "\n")
+        write(text.encode("utf-8") + b"\n")
     # Cell i's separator: "\n" starting a row, "," within it, none for the
     # block's first cell; the cell after the last ends the block's line.
     n = min(len(X), WRITE_BLOCK_ROWS) * X.shape[1]
@@ -269,45 +272,67 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
         write(_fixed_text(block.ravel(), seps) or _percent_text(block))
 
 
-def _percent_text(block: np.ndarray) -> str:
+def _percent_text(block: np.ndarray) -> bytes:
     """The lines of block as "%.17g" writes them, by the % operator."""
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    row = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
     return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _fixed_text(v: np.ndarray, seps: np.ndarray) -> str | None:
+def _fixed_text(v: np.ndarray, seps: np.ndarray) -> bytes | None:
     """The "%.17g" text of a block's values v, cells joined by seps; None
     unless every value is 0 or has |v| in [_FIXED_MIN, _FIXED_MAX)."""
+    digits = _decimal(v)
+    if digits is None:
+        return None
+    # The cells are freed once copied, before translate makes the text.
+    return _cells(v, *digits, seps).tobytes().translate(None, b"\0")
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 17 digits D of each |v| and its decimal exponent x as int8, D
+    = round(|v| * 10**(16 - x)) in [10**16, 10**17), or D = x = 0 for a
+    zero; None unless every value is 0 or in _fixed_text's range."""
     a = np.abs(v)
-    zero = a == 0
-    a[zero] = 1.0
+    a[a == 0] = 1.0  # a zero takes 1's digits until D is set
     if not (a.min() >= _FIXED_MIN and a.max() < _FIXED_MAX):
         return None
-    # |v| = m * 2**(e - 53) with m < 2**53; D = round(|v| * 10**(16 - x))
-    # has 17 digits once x is the decimal exponent, which log10 may miss by one.
-    f, e = np.frexp(a)
-    m = np.ldexp(f, 53).astype(np.uint64)
-    x = np.floor(np.log10(a)).astype(np.int64)
+    # |v| = m * 2**(e - 53) with m < 2**53, and log10 may miss x by one.
+    x = np.log10(a)
+    x = np.floor(x, out=x).astype(np.int8)
+    e = np.frexp(a, out=(a, None))[1]
+    m = np.ldexp(a, 53, out=a).astype(np.uint64)
+    del a  # so no float array is live beside _round_digits' limbs
     d = _round_digits(m, e, x)
-    miss = np.flatnonzero((d < _E16) | (d >= _E17))
+    miss = np.flatnonzero(d - _E16 >= _SPAN17)  # D outside [10**16, 10**17), wrapped
     while miss.size:
         x[miss] += np.where(d[miss] < _E16, -1, 1)
         d[miss] = _round_digits(m[miss], e[miss], x[miss])
-        miss = miss[(d[miss] < _E16) | (d[miss] >= _E17)]
-    d[zero] = 0  # with x = 0, it prints as "0"
+        miss = miss[d[miss] - _E16 >= _SPAN17]
+    d[v == 0] = 0
+    return d, x
+
+
+def _cells(v: np.ndarray, d: np.ndarray, x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """A (len(v) + 1, _CELL) uint8 array whose bytes less NUL are v's text,
+    from _decimal's D and x, d's entries overwritten."""
     n = len(v)
     buf = np.zeros((n + 1, _CELL), np.uint8)
     buf[:, 0] = seps[:n + 1]
     cells = buf[:n]
     # Four digits at a time, the last first: its trailing zeros are NUL,
-    # and so are those of a run that goes on past it.
-    run_on = np.flatnonzero(d % _E4 == 0)
+    # and so are those of a run that goes on past it.  Each pass leaves
+    # the group in d and the digits before it in q, which d then becomes.
     groups = cells.view(np.uint32)
+    q, t = np.empty_like(d), np.empty_like(d)
     for col in (5, 4, 3, 2):
-        q = d // _E4
-        groups[:, col] = (_TRIMMED4 if col == 5 else _DIGITS4)[d - q * _E4]
-        d = q
-    cells[:, _LEAD] = d + 48
+        np.floor_divide(d, _E4, out=q)
+        d -= np.multiply(q, _E4, out=t)
+        if col == 5:
+            run_on = np.flatnonzero(d == 0)
+        groups[:, col] = (_TRIMMED4 if col == 5 else _DIGITS4).take(d)
+        d, q = q, d
+    np.add(d, 48, out=cells[:, _LEAD], casting="unsafe")
+    del q, t  # before the steps below make their temporaries
     if run_on.size:
         tail = cells[run_on, _LEAD + 1:]
         tail[np.logical_and.accumulate(tail[:, ::-1] <= 48, axis=1)[:, ::-1]] = 0
@@ -326,7 +351,7 @@ def _fixed_text(v: np.ndarray, seps: np.ndarray) -> str | None:
         rows = np.flatnonzero(x == k)
         cells[rows, _LEAD - 1 + k:_LEAD] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
         cells[rows, _LEAD - 2 + k] = np.signbit(v[rows]) * 45
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    return buf
 
 
 def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -334,28 +359,37 @@ def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The product m * 5**(16 - x) is exact as a 128-bit (hi, lo) pair of
     32-bit limb products, then shifts right by s = 37 - e + x bits, which
-    _fixed_text's range keeps between 1 and 46.  Every operand is uint64,
-    which wraps; an int64 operand would promote the result to float64.
+    _fixed_text's range keeps between 1 and 46.  Every limb step is uint64,
+    which wraps; an int64 operand would promote it to float64, so s is
+    cast into a uint64 array.  Each step writes into an array it has
+    finished reading, so five arrays the size of m are live at most.
     """
-    s = (x - e + 37).astype(np.uint64)
-    f0, f1 = _POW5_LO[16 - x], _POW5_HI[16 - x]
-    m0, m1 = m & _LOW32, m >> _32
-    lo = m0 * f0
-    mid = m1 * f0
-    mid += m0 * f1
-    hi = m1 * f1
-    hi += mid >> _32
+    f0 = _POW5.take(16 - x)
+    f1 = f0 >> _32
+    f0 &= _LOW32
+    hi = m >> _32  # m's high limb until hi *= f1
+    lo = m & _LOW32  # and its low limb until lo *= f0
+    mid = hi * f0
+    hi *= f1
+    f1 *= lo
+    mid += f1
+    lo *= f0
+    hi += np.right_shift(mid, _32, out=f1)
     mid <<= _32
     mid += lo  # the low word, wrapped
     hi += mid < lo  # and its carry
+    s = np.subtract(x, e, out=f0, casting="unsafe")  # x - e may wrap ...
+    s += _37  # ... and 37 - e + x is at least 1
     # Half to even: add 2**(s - 1) - 1, and 1 more if the truncation is odd.
-    lo = mid >> s
-    lo &= np.uint64(1)
-    lo += (np.uint64(1) << (s - np.uint64(1))) - np.uint64(1)
+    np.right_shift(mid, s, out=lo)
+    lo &= _1
+    np.subtract(s, _1, out=f1)
+    lo += np.left_shift(_1, f1, out=f1)
+    lo -= _1
     lo += mid
     hi += lo < mid
     lo >>= s
-    hi <<= np.uint64(64) - s
+    hi <<= np.subtract(_64, s, out=s)
     lo |= hi
     return lo
 

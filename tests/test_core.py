@@ -582,6 +582,23 @@ class TestArrayChecks:
         with pytest.raises(ValueError, match=message):
             SsaeParams(**fields)
 
+    def test_a_long_array_is_summed_in_dots_below_the_thread_limit(self, monkeypatch):
+        sizes = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: sizes.append(a.size) or vdot(a, b))
+        core._finite(np.ones((20_000, 23)))
+        assert sum(sizes) == 460_000 and max(sizes) <= core._DOT_MAX
+        sizes.clear()
+        core._finite(np.ones((250, 23)))
+        assert sizes == [250 * 23]
+
+    def test_a_long_array_names_a_nan_in_its_last_entry(self):
+        X = np.ones((20_000, 23))
+        X[0, 0] = 1e200  # the first dot's sum overflows, and the search finds no entry there
+        X[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="^frame 19999, sensor 22 is not finite: nan$"):
+            core._finite(X)
+
     @pytest.mark.parametrize("value", [1e200, -1.7e308])
     def test_finite_values_whose_squares_overflow_pass(self, value):
         X = np.full((3, 4), value)

@@ -7,6 +7,7 @@ import pathlib
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -348,13 +349,16 @@ class TestWriteCsvBlocks:
         write_csv(X, sink, header=[""])
         assert sink.getvalue() == savetxt_bytes(X, [""]).decode() == "0\n0\n0\n"
 
-    def test_every_sink_gets_the_same_bytes(self, tmp_path):
-        X = generate_synthetic(23, 300, noise=NoiseSpec(variance=0.01, seed=3))
-        header = [f"s{j}" for j in range(23)]
-        expected = savetxt_bytes(X, header)
+    @pytest.mark.parametrize("n_rows", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_every_sink_gets_the_same_bytes(self, tmp_path, n_rows):
+        X = generate_synthetic(23, n_rows, noise=NoiseSpec(variance=0.01, seed=3))
+        header = ["température"] + [f"s{j}" for j in range(1, 23)]
+        expected = (",".join(header) + "\n").encode("utf-8") + savetxt_bytes(X)
+        assert savetxt_bytes(X, header) == expected
         for path in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
             write_csv(X, path, header=header)
             assert pathlib.Path(path).read_bytes() == expected
+            assert same_bits(load_csv(path), X)
         text, raw = io.StringIO(), io.BytesIO()
         write_csv(X, text, header=header)
         write_csv(X, raw, header=header)
@@ -430,6 +434,44 @@ class TestWriteCsvKernel:
         write_csv(X, sink)
         assert sink.getvalue() == reference_csv(X)
         assert {"0", "-0"} <= set(sink.getvalue().splitlines())
+
+    def test_round_digits_is_exact_on_every_exponent_pair(self):
+        # Every binade e of the range at the exact decimal exponent x of each
+        # of its values, and beside each power of ten 10**k at x = k - 1 and
+        # x = k, where log10's guess or rounding up to 10**17 moves x by one.
+        def exponent(w):
+            return max(k for k in range(-5, 16) if Fraction(10) ** k <= Fraction(w))
+
+        pairs = set()
+        for e in range(-13, 51):  # frexp's exponents of [_FIXED_MIN, _FIXED_MAX)
+            lo = max(2.0 ** (e - 1), data._FIXED_MIN)
+            hi = min(math.nextafter(2.0 ** e, 0.0), math.nextafter(data._FIXED_MAX, 0.0))
+            pairs |= {(x, e) for x in range(exponent(lo), exponent(hi) + 1)}
+        pairs |= {(x, math.frexp(w)[1]) for k in range(-4, 16)
+                  for w in neighbours(float(Fraction(10) ** k)) if in_kernel_range(w)
+                  for x in (k - 1, k)}
+        assert {37 - e + x for x, e in pairs} == set(range(1, 47))  # the shifts s
+        rng = np.random.default_rng(11)
+        cases, carries = [], 0
+        for x, e in sorted(pairs):
+            s, f = 37 - e + x, 5 ** (16 - x)
+            # Two halfway ties, one of each parity, and an m whose product's
+            # low word is less than 2**(s - 1) - 1 from wrapping, so adding
+            # the rounding bias carries into the high word.
+            ms = [2**52, 2**53 - 1, 2**52 + 2 ** (s - 1), 2**52 + 3 * 2 ** (s - 1)]
+            for h in range(-(-(2**52 * f) >> 64), (2**53 * f) >> 64)[:200]:
+                m = -(-((h << 64) - 2 ** (s - 1) + 1) // f)
+                if 2**52 <= m and m * f < h << 64:
+                    ms.append(m)
+                    carries += 1
+                    break
+            cases += [(m, e, x) for m in ms + rng.integers(2**52, 2**53, 8).tolist()]
+        assert carries > len(pairs) // 2
+        m, e, x = (np.array(c, dtype) for c, dtype in zip(zip(*cases), (np.uint64, np.int32, np.int8)))
+        got = data._round_digits(m, e, x).tolist()
+        want = [round(Fraction(m, 2**53) * Fraction(2) ** e * Fraction(10) ** (16 - x))
+                for m, e, x in cases]
+        assert got == want
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_synthetic_log_takes_the_kernel(self, no_fallback, tmp_path, seed):
