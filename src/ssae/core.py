@@ -158,12 +158,13 @@ def _finite(X: np.ndarray, what: str = "frame", part: str = "sensor") -> None:
 
     A NaN or inf makes a sum of squares non-finite; only then, or when one
     overflows, is X searched.  The sums are np.vdot's over at most _DOT_MAX
-    entries each, so a frame or code takes one call.
+    entries each, taken in memory order so that no order of X is copied,
+    and a frame or code takes one call.
     """
     if X.size <= _DOT_MAX:
         finite = math.isfinite(np.vdot(X, X))
     else:
-        flat = X.reshape(-1)
+        flat = X.ravel(order="K")
         finite = all(math.isfinite(np.vdot(c, c))
                      for c in (flat[i:i + _DOT_MAX] for i in range(0, flat.size, _DOT_MAX)))
     if not finite:

@@ -42,18 +42,20 @@ DIURNAL_PERIOD = 720.0
 
 # Rows write_csv formats and writes with one call.  For a 23-sensor log the
 # traced peak must stay under a tenth of the log's own bytes (one block, as
-# test_traced_peak_is_one_block bounds it): 128-row blocks reach 0.052 of
-# it, 64-row blocks 0.028 and 256-row blocks 0.103.
+# test_traced_peak_is_one_block bounds it): 128-row blocks reach 0.049 of
+# it, 0.056 for a Fortran-ordered log, whose blocks are copied to C order;
+# 64-row blocks 0.026 and 0.029, 256-row blocks 0.096 and 0.109.
 WRITE_BLOCK_ROWS = 128
 
 # The kernel's range: "%.17g" writes 0 and every value of magnitude in
-# [1e-4, 1e15) in fixed notation, and there _round_digits' product fits 128
-# bits and its shift is at least 1.
+# [1e-4, 1e15) in fixed notation, and there every factor 10**(16 - x) that
+# _round_digits takes, x in [-5, 15], is at most 10**21, an exact double.
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e15
-_E4, _E16, _SPAN17 = np.uint64(10_000), np.uint64(10**16), np.uint64(9 * 10**16)
-_1, _32, _37, _64 = (np.uint64(k) for k in (1, 32, 37, 64))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_POW5 = np.array([5**p for p in range(23)], dtype=np.uint64)
+# Veltkamp's splitter, and 10**k for k < 22 with the halves it splits into.
+_SPLIT = 2.0**27 + 1
+_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 # Four ASCII digits of each t < 10**4 as one native uint32, and the same
 # with trailing zeros as NUL bytes, which the kernel deletes.
 _DIGITS4 = np.frombuffer(b"".join(b"%04d" % t for t in range(10_000)), np.uint32)
@@ -223,13 +225,13 @@ def write_csv(matrix: np.ndarray, sink, header: list[str] | None = None) -> None
     fmt="%.17g", delimiter=","), so load_csv(write_csv(X)) reproduces X
     bit-exactly.  A block whose values are all 0 or in [1e-4, 1e15) in
     magnitude, which "%.17g" writes in fixed notation, is formatted by a
-    numpy integer kernel; any other block by the % operator.  A matrix with
-    no rows or no columns, or a non-finite value (named by frame and
-    sensor), both of which load_csv rejects, raises a ValueError before
-    anything is opened or written.  A header cell that would not read back,
-    one that is a number, holds a comma, quote or line break, or is longer
-    than csv.field_size_limit(), is rejected; the header line is written
-    only when its text is not empty.
+    numpy kernel of float64 and int64 steps; any other block by the %
+    operator.  A matrix with no rows or no columns, or a non-finite value
+    (named by frame and sensor), both of which load_csv rejects, raises a
+    ValueError before anything is opened or written.  A header cell that
+    would not read back, one that is a number, holds a comma, quote or line
+    break, or is longer than csv.field_size_limit(), is rejected; the
+    header line is written only when its text is not empty.
 
     sink is a path (str or os.PathLike) or a file object.  A path is opened
     "wb" whatever its suffix (a ".gz" path holds plain text, so it reads
@@ -291,23 +293,22 @@ def _fixed_text(v: np.ndarray, seps: np.ndarray) -> bytes | None:
 def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The 17 digits D of each |v| and its decimal exponent x as int8, D
     = round(|v| * 10**(16 - x)) in [10**16, 10**17), or D = x = 0 for a
-    zero; None unless every value is 0 or in _fixed_text's range."""
+    zero; None unless every value is 0 or in _fixed_text's range.
+
+    x starts as floor(log10(|v|)), which may miss by one; then
+    _round_digits gives a D outside [10**16, 10**17), and x moves by one
+    toward it until D is inside.
+    """
     a = np.abs(v)
     a[a == 0] = 1.0  # a zero takes 1's digits until D is set
     if not (a.min() >= _FIXED_MIN and a.max() < _FIXED_MAX):
         return None
-    # |v| = m * 2**(e - 53) with m < 2**53, and log10 may miss x by one.
     x = np.log10(a)
     x = np.floor(x, out=x).astype(np.int8)
-    e = np.frexp(a, out=(a, None))[1]
-    m = np.ldexp(a, 53, out=a).astype(np.uint64)
-    del a  # so no float array is live beside _round_digits' limbs
-    d = _round_digits(m, e, x)
-    miss = np.flatnonzero(d - _E16 >= _SPAN17)  # D outside [10**16, 10**17), wrapped
-    while miss.size:
-        x[miss] += np.where(d[miss] < _E16, -1, 1)
-        d[miss] = _round_digits(m[miss], e[miss], x[miss])
-        miss = miss[d[miss] - _E16 >= _SPAN17]
+    d = _round_digits(a, x)
+    while (miss := np.flatnonzero((d < 10**16) | (d >= 10**17))).size:
+        x[miss] += np.where(d[miss] < 10**16, -1, 1)
+        d[miss] = _round_digits(a[miss], x[miss])
     d[v == 0] = 0
     return d, x
 
@@ -325,13 +326,13 @@ def _cells(v: np.ndarray, d: np.ndarray, x: np.ndarray, seps: np.ndarray) -> np.
     groups = cells.view(np.uint32)
     q, t = np.empty_like(d), np.empty_like(d)
     for col in (5, 4, 3, 2):
-        np.floor_divide(d, _E4, out=q)
-        d -= np.multiply(q, _E4, out=t)
+        np.floor_divide(d, 10_000, out=q)
+        d -= np.multiply(q, 10_000, out=t)
         if col == 5:
             run_on = np.flatnonzero(d == 0)
         groups[:, col] = (_TRIMMED4 if col == 5 else _DIGITS4).take(d)
         d, q = q, d
-    np.add(d, 48, out=cells[:, _LEAD], casting="unsafe")
+    cells[:, _LEAD] = d + 48
     del q, t  # before the steps below make their temporaries
     if run_on.size:
         tail = cells[run_on, _LEAD + 1:]
@@ -354,44 +355,32 @@ def _cells(v: np.ndarray, d: np.ndarray, x: np.ndarray, seps: np.ndarray) -> np.
     return buf
 
 
-def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """round(m * 2**(e - 53) * 10**(16 - x)), half to even, as uint64.
+def _round_digits(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """round(a * 10**(16 - x)) as int64: exact, half to even, wherever it
+    is at least 2**53, and at most 2**53 wherever it is less.
 
-    The product m * 5**(16 - x) is exact as a 128-bit (hi, lo) pair of
-    32-bit limb products, then shifts right by s = 37 - e + x bits, which
-    _fixed_text's range keeps between 1 and 46.  Every limb step is uint64,
-    which wraps; an int64 operand would promote it to float64, so s is
-    cast into a uint64 array.  Each step writes into an array it has
-    finished reading, so five arrays the size of m are live at most.
+    p = a * 10**k in float64, k = 16 - x, and Dekker's product gives its
+    error a * 10**k - p exactly: a's halves come from Veltkamp's split and
+    10**k's from _POW10_HI and _POW10_LO, each of at most 26 bits, so the
+    four half products are exact.  Where p >= 2**53 it is an even whole
+    number, so D = p + rint(error) rounds half to even; below, |error| <=
+    0.5 and D is p truncated.  Each step is a separate ufunc call, so no
+    fused multiply-add can occur.
     """
-    f0 = _POW5.take(16 - x)
-    f1 = f0 >> _32
-    f0 &= _LOW32
-    hi = m >> _32  # m's high limb until hi *= f1
-    lo = m & _LOW32  # and its low limb until lo *= f0
-    mid = hi * f0
-    hi *= f1
-    f1 *= lo
-    mid += f1
-    lo *= f0
-    hi += np.right_shift(mid, _32, out=f1)
-    mid <<= _32
-    mid += lo  # the low word, wrapped
-    hi += mid < lo  # and its carry
-    s = np.subtract(x, e, out=f0, casting="unsafe")  # x - e may wrap ...
-    s += _37  # ... and 37 - e + x is at least 1
-    # Half to even: add 2**(s - 1) - 1, and 1 more if the truncation is odd.
-    np.right_shift(mid, s, out=lo)
-    lo &= _1
-    np.subtract(s, _1, out=f1)
-    lo += np.left_shift(_1, f1, out=f1)
-    lo -= _1
-    lo += mid
-    hi += lo < mid
-    lo >>= s
-    hi <<= np.subtract(_64, s, out=s)
-    lo |= hi
-    return lo
+    k = 16 - x
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    p = a * _POW10.take(k)
+    ah = a * _SPLIT  # Veltkamp's split of a into ah + al
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    err = ah * bh
+    err -= p
+    err += np.multiply(ah, bl, out=ah)
+    err += np.multiply(al, bh, out=bh)
+    err += np.multiply(al, bl, out=bl)
+    del ah, al, bh, bl  # before the int64 arrays below
+    return p.astype(np.int64) + np.rint(err, out=err).astype(np.int64)
 
 
 def _ar1(rng: np.random.Generator, n: int, smoothing: float, std: float) -> np.ndarray:
